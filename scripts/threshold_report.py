@@ -37,7 +37,7 @@ def main() -> int:
     ap.add_argument(
         "--state", default="strange", help="magic state kind (strange | norrell)"
     )
-    ap.add_argument("--tol", type=float, default=1e-4, help="bisection resolution")
+    ap.add_argument("--tol", type=float, default=1e-4, help="KD bisection resolution")
     ap.add_argument("--restarts", type=int, default=16)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--threads", type=int, default=1)

@@ -43,6 +43,8 @@ from .thresholds import (
 
 METHODS = ("wigner", "polytope", "kd", "crit")
 SCAN_FRAMES = ("gross", "kd-mub")
+# Largest noise grid `scan` evaluates: a step of 1e-4 over [0, 1].
+MAX_SCAN_POINTS = 10_001
 CONFIG_KEYS = {
     "schema",
     "d",
@@ -228,7 +230,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "gross": gross_wigner_frame(dim),
         "kd-mub": canonical_mub_frame(dim),
     }
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    intervals = np.floor((stop - start) / step + 1e-9)
+    if not intervals < MAX_SCAN_POINTS:
+        raise ValueError(
+            f"a step of {step:g} over [{start:g}, {stop:g}] gives more than "
+            f"{MAX_SCAN_POINTS} grid points"
+        )
+    count = int(intervals) + 1
     # rounding may push the last point just past stop; pin it back
     grid = [min(start + k * step, stop) for k in range(count)]
     rows = []
@@ -377,8 +385,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _attach_vec_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite `--vec VALUE` as `--vec=VALUE` unless VALUE is a long flag.
+
+    A vector such as `-0.5+0.1j,1,0` starts with '-', which argparse
+    takes for an option, so the space-separated form would fail with
+    "expected one argument".
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--vec" and not arg.startswith("--"):
+            out[-1] = f"--vec={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = _attach_vec_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

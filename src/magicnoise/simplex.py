@@ -1,13 +1,22 @@
-"""Dense phase-one simplex for equality-form feasibility problems.
+"""Dense revised simplex for small equality-form linear programs.
 
-Solves: does there exist x >= 0 with A x = b? The answer comes from
-minimizing the sum of artificial variables; a zero optimum certifies
-feasibility and the x part of the optimal vertex is a feasible point.
+Solves  min c.x  subject to  A x = b, x >= 0  in two phases:
 
-Bland's anti-cycling rule keeps pivoting deterministic and guarantees
-termination, which matters more here than speed: the systems are tiny
-(tens of rows) but get solved inside bisection loops whose output must be
-bit-reproducible.
+  phase one  minimizes the sum of artificial variables from the artificial
+             identity basis; a zero optimum certifies feasibility, and the
+             x part of the optimal vertex is a feasible point
+  phase two  pivots artificials left at zero out of the basis (dropping
+             the rows that turn out redundant) and minimizes c.x
+
+Every pivot solves afresh against the original columns of the current
+basis with `np.linalg.solve`, so no update of an inverse or a tableau can
+accumulate round-off from one pivot to the next. Bland's rule (lowest
+entering index, ties in the ratio test to the lowest basic index) keeps
+pivoting deterministic and guarantees termination; the systems are tiny
+(tens of rows) and their output must be bit-reproducible.
+
+At an optimum the duals y solve B^T y = c_B, so A^T y <= c holds within
+COST_TOL and b.y equals the optimal objective.
 """
 
 from __future__ import annotations
@@ -18,10 +27,13 @@ import numpy as np
 
 PIVOT_TOL = 1e-11
 COST_TOL = 1e-10
+# Phase-one optimum above which solve_lp declares the system infeasible.
+FEASIBILITY_TOL = 1e-9
 
 
 class SimplexError(RuntimeError):
-    """Raised when pivoting stalls; not expected for well-posed inputs."""
+    """Raised on an infeasible or unbounded LP, or when pivoting does not
+    finish within its budget."""
 
 
 @dataclass(frozen=True)
@@ -31,77 +43,109 @@ class PhaseOneResult:
     iterations: int
 
 
-def phase_one(a: np.ndarray, b: np.ndarray, max_iterations: int = 10000) -> PhaseOneResult:
-    """Minimize the sum of artificial variables for A x = b, x >= 0.
+@dataclass(frozen=True)
+class LPResult:
+    x: np.ndarray           # optimal vertex
+    y: np.ndarray           # equality duals: A^T y <= c, b.y == objective
+    objective: float
+    iterations: int         # pivots over both phases
 
-    The tableau starts from the artificial identity basis after flipping
-    rows so b >= 0. Entering variable: lowest index with a reduced cost
-    below -COST_TOL. Leaving variable: minimum ratio, ties broken by the
-    lowest basic variable index (Bland).
-    """
+
+def _bland(a, b, c, basis: list[int], iterations: int, max_iterations: int) -> int:
+    """Pivot basis (in place) to an optimum of min c.x, A x = b, x >= 0;
+    returns the running pivot count."""
+    while True:
+        cols = a[:, basis]
+        reduced = c - a.T @ np.linalg.solve(cols.T, c[basis])
+        reduced[basis] = 0.0
+        entering = np.flatnonzero(reduced < -COST_TOL)
+        if entering.size == 0:
+            return iterations
+        if iterations >= max_iterations:
+            raise SimplexError(f"no convergence within {max_iterations} pivots")
+        j = int(entering[0])
+        sol = np.linalg.solve(cols, np.column_stack([b, a[:, j]]))
+        x_b, u = np.maximum(sol[:, 0], 0.0), sol[:, 1]
+        ok = u > PIVOT_TOL
+        if not ok.any():
+            raise SimplexError("objective is unbounded below")
+        ratios = np.where(ok, x_b / np.where(ok, u, 1.0), np.inf)
+        ties = np.flatnonzero(ratios <= ratios.min() + PIVOT_TOL)
+        leaving = int(ties[np.argmin(np.asarray(basis)[ties])])
+        basis[leaving] = j
+        iterations += 1
+
+
+def _vertex(a, b, basis: list[int]) -> np.ndarray:
+    """The basic solution of A x = b on basis, negative round-off clipped."""
+    x = np.zeros(a.shape[1])
+    x[basis] = np.maximum(np.linalg.solve(a[:, basis], b), 0.0)
+    return x
+
+
+def _phase_one(a, b, max_iterations: int):
+    """Artificial problem [A | I] after flipping rows so b >= 0, solved
+    from the artificial basis: (flip signs, [A | I], b >= 0, basis, pivots)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = a.shape
     if b.shape != (m,):
         raise ValueError("b must match the row count of A")
-
-    flip = b < 0
-    t = np.empty((m, n + m + 1))
-    t[:, :n] = np.where(flip[:, None], -a, a)
-    t[:, n : n + m] = np.eye(m)
-    t[:, -1] = np.where(flip, -b, b)
-
+    sign = np.where(b < 0, -1.0, 1.0)
+    aug = np.hstack([a * sign[:, None], np.eye(m)])
+    rhs = b * sign
+    cost = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    # cost row for minimizing the artificial sum, reduced against the basis
-    cost = np.zeros(n + m + 1)
-    cost[n : n + m] = 1.0
-    cost = cost - t.sum(axis=0)  # basic costs are all 1 initially
+    iterations = _bland(aug, rhs, cost, basis, 0, max_iterations)
+    return sign, aug, rhs, basis, iterations
 
-    iterations = 0
-    while iterations < max_iterations:
-        entering = -1
-        for j in range(n + m):
-            if cost[j] < -COST_TOL:
-                entering = j
-                break
-        if entering < 0:
-            break
 
-        ratios = np.full(m, np.inf)
-        col = t[:, entering]
-        ok = col > PIVOT_TOL
-        ratios[ok] = t[ok, -1] / col[ok]
-        best = np.inf
-        leaving = -1
-        for i in range(m):
-            if not ok[i]:
-                continue
-            if ratios[i] < best - PIVOT_TOL or (
-                abs(ratios[i] - best) <= PIVOT_TOL
-                and (leaving < 0 or basis[i] < basis[leaving])
-            ):
-                best = ratios[i]
-                leaving = i
-        if leaving < 0:
-            raise SimplexError("phase-one objective unbounded; inputs are malformed")
+def phase_one(a: np.ndarray, b: np.ndarray, max_iterations: int = 10000) -> PhaseOneResult:
+    """Minimize the sum of artificial variables for A x = b, x >= 0."""
+    _, aug, rhs, basis, iterations = _phase_one(a, b, max_iterations)
+    n = aug.shape[1] - aug.shape[0]
+    v = _vertex(aug, rhs, basis)
+    return PhaseOneResult(x=v[:n], objective=float(v[n:].sum()), iterations=iterations)
 
-        piv = t[leaving, entering]
-        t[leaving] /= piv
-        for i in range(m):
-            if i != leaving and abs(t[i, entering]) > 0.0:
-                t[i] -= t[i, entering] * t[leaving]
-        cost = cost - cost[entering] * t[leaving]
-        basis[leaving] = entering
-        iterations += 1
-    else:
-        raise SimplexError(f"no convergence within {max_iterations} pivots")
 
-    x = np.zeros(n)
-    artificial = 0.0
-    for i, var in enumerate(basis):
-        value = t[i, -1]
-        if var < n:
-            x[var] = value
-        else:
-            artificial += value
-    return PhaseOneResult(x=x, objective=float(artificial), iterations=iterations)
+def solve_lp(
+    c: np.ndarray, a: np.ndarray, b: np.ndarray, max_iterations: int = 10000
+) -> LPResult:
+    """Optimal vertex and duals of min c.x subject to A x = b, x >= 0.
+
+    Raises SimplexError when the system is infeasible (phase-one optimum
+    above FEASIBILITY_TOL) or the objective is unbounded below.
+    """
+    c = np.asarray(c, dtype=float)
+    sign, aug, rhs, basis, iterations = _phase_one(a, b, max_iterations)
+    m, n = aug.shape[0], aug.shape[1] - aug.shape[0]
+    if c.shape != (n,):
+        raise ValueError("c must match the column count of A")
+    artificial = _vertex(aug, rhs, basis)[n:].sum()
+    if artificial > FEASIBILITY_TOL:
+        raise SimplexError(f"infeasible: phase-one optimum {artificial:.3e}")
+
+    # Pivot each artificial left at zero onto a structural column. Where
+    # none has weight in its row, that row is a combination of the others
+    # and is dropped together with the artificial.
+    for i in range(m):
+        if basis[i] < n:
+            continue
+        unit = np.zeros(m)
+        unit[i] = 1.0
+        row = np.linalg.solve(aug[:, basis].T, unit) @ aug[:, :n]
+        row[[k for k in basis if k < n]] = 0.0
+        candidates = np.flatnonzero(np.abs(row) > PIVOT_TOL)
+        if candidates.size:
+            basis[i] = int(candidates[0])
+            iterations += 1
+    dropped = {k - n for k in basis if k >= n}
+    keep_rows = [r for r in range(m) if r not in dropped]
+    basis = [k for k in basis if k < n]
+    a2, b2 = aug[keep_rows, :n], rhs[keep_rows]
+
+    iterations = _bland(a2, b2, c, basis, iterations, max_iterations)
+    x = _vertex(a2, b2, basis)
+    y = np.zeros(m)
+    y[keep_rows] = np.linalg.solve(a2[:, basis].T, c[basis]) * sign[keep_rows]
+    return LPResult(x=x, y=y, objective=float(c @ x), iterations=iterations)

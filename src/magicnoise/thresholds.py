@@ -1,15 +1,17 @@
 """Decoherence thresholds for magic-state nonclassicality.
 
 Four routes to "how much depolarizing noise makes the state classical":
-  wigner_threshold    closed form from the most negative Wigner value
-  polytope_threshold  LP bisection against the stabilizer polytope
+  wigner_threshold    closed form from the most negative Wigner value,
+                      checked against a grid in O(d^2) operations
+  polytope_threshold  one exact LP against the stabilizer polytope, with a
+                      decomposition and a separating witness as certificate
   kd_threshold        bisection over an optimized Kirkwood-Dirac witness
   crit_threshold      minimum over frame families (an upper bound)
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -39,10 +41,14 @@ from .representations import (
     represent_state,
     standard_operational_set,
 )
-from .simplex import phase_one
+from .simplex import SimplexError, solve_lp
 
-FEASIBILITY_RESIDUAL = 1e-8
-INFEASIBILITY_FLOOR = 1e-7
+# How far a polytope LP optimum and its certificates may sit from exact.
+LP_ACCURACY = 1e-9
+# A p this far outside [0, 1] is round-off and is clamped back.
+ROUND_OFF = 1e-12
+# Wigner values down to -GRID_FLOOR count as non-negative in the grid check.
+GRID_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,53 @@ def _negative_part(values: np.ndarray) -> float:
     return float(np.abs(np.minimum(0.0, values)).sum())
 
 
+def _trace_points(p_star: float) -> np.ndarray:
+    """The 21 noise levels 0, 0.05, ..., 1 with the threshold merged in."""
+    return np.unique(np.append(np.linspace(0.0, 1.0, 21), p_star))
+
+
+def _grid_check(w: np.ndarray, d2: int, p_star: float, scan_step: float) -> float:
+    """First point of np.linspace(0, 1, steps + 1), steps = 1/scan_step,
+    where every value (1-p) w + p/d^2 is at least -GRID_FLOOR, checked
+    against the closed form p_star.
+
+    The minimum over the values is concave in p and positive at p = 1, so
+    the passing points are a tail of the grid. The entry w_min crosses
+    -GRID_FLOOR at a, so the tail starts at k = ceil(a steps) when point k
+    passes and point k-1 fails; should round-off move k, a bisection over
+    the rest of the grid finds the start. Points are evaluated with
+    linspace's own arithmetic, k * (1/steps), so the result is the one a
+    scan of the whole grid would give, without allocating it. The floor
+    lets the grid pass up to GRID_FLOOR * d^2 before p_star, which the
+    comparison allows for.
+    """
+    if not (0.0 < scan_step <= 1.0 and math.isfinite(1.0 / scan_step)):
+        raise ValueError(f"scan step must lie in (0, 1], got {scan_step}")
+    steps = int(round(1.0 / scan_step))
+
+    def point(k: int) -> float:
+        return 1.0 if k == steps else k * (1.0 / steps)
+
+    def passes(k: int) -> bool:
+        p = point(k)
+        return bool(((1.0 - p) * w + p / d2).min() >= -GRID_FLOOR)
+
+    w_min = float(w.min())
+    a = 0.0 if w_min >= -GRID_FLOOR else (-GRID_FLOOR - w_min) / (1.0 / d2 - w_min)
+    k = min(math.ceil(a * steps), steps)
+    lo, hi = -1, steps  # lo fails (or is -1), hi passes: p = 1 always does
+    for probe in (k, k - 1):
+        if lo < probe < hi:
+            lo, hi = (lo, probe) if passes(probe) else (probe, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    p_grid = point(hi)
+    if not -(scan_step + GRID_FLOOR * d2) <= p_grid - p_star <= scan_step + 1e-9:
+        raise RuntimeError(f"closed form {p_star} disagrees with grid scan {p_grid}")
+    return p_grid
+
+
 def wigner_threshold(
     rho_m: Operator,
     dim: Optional[Dimension] = None,
@@ -94,8 +147,8 @@ def wigner_threshold(
 
     Every value moves affinely, (1-p) w + p/d^2, so the binding entry is
     the minimum w and the threshold is d^2 |w_min| / (1 + d^2 |w_min|)
-    (zero when w_min >= 0). The closed form is cross-checked against a
-    dense grid scan before being returned.
+    (zero when w_min >= 0). The closed form is cross-checked against the
+    first non-negative point of the grid of step scan_step (_grid_check).
     """
     if dim is not None and dim != rho_m.dim:
         raise DimensionMismatchError("state dimension does not match dim")
@@ -109,24 +162,10 @@ def wigner_threshold(
     else:
         p_star = d2 * abs(w_min) / (1.0 + d2 * abs(w_min))
 
-    # independent check: first grid point where every value is non-negative
-    steps = int(round(1.0 / scan_step))
-    ps = np.linspace(0.0, 1.0, steps + 1)
-    mins = np.full(ps.size, np.inf)
-    for wl in w:
-        np.minimum(mins, (1.0 - ps) * wl + ps / d2, out=mins)
-    hits = mins >= -1e-12
-    if not hits.any():
-        raise RuntimeError("grid scan found no non-negative point; check inputs")
-    p_grid = float(ps[int(np.argmax(hits))])
-    if not (-scan_step <= p_grid - p_star <= scan_step + 1e-9):
-        raise RuntimeError(
-            f"closed form {p_star} disagrees with grid scan {p_grid}"
-        )
-
-    trace_points = np.unique(np.append(np.linspace(0.0, 1.0, 21), p_star))
+    p_grid = _grid_check(w, d2, p_star, scan_step)
     scan = tuple(
-        (float(p), _negative_part((1.0 - p) * w + p / d2)) for p in trace_points
+        (float(p), _negative_part((1.0 - p) * w + p / d2))
+        for p in _trace_points(p_star)
     )
     rep_at_threshold = (1.0 - p_star) * w + p_star / d2
     labels = [(k // dim.d, k % dim.d) for k in range(d2)]
@@ -146,22 +185,33 @@ def wigner_threshold(
 
 @dataclass(frozen=True)
 class PolytopeCertificate:
-    """Convex decomposition over stabilizer projectors witnessing membership."""
+    """Both sides of the polytope threshold p* of a state rho.
+
+    coefficients: a convex decomposition of (1-p*) rho + p* 1/d over the
+    stabilizer projectors S_k (membership at p*), rebuilt within residual.
+    witness: a Hermitian W with Tr(W S_k) <= 0 for every k and
+    Tr(W rho) = p*, so Tr(W rho_q) >= p* - q > 0 separates every
+    rho_q = (1-q) rho + q 1/d with q < p* from the polytope.
+    """
 
     coefficients: np.ndarray
     residual: float
-    phase_one_objective: float
+    witness: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coefficients, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
+        for name, dtype in (("coefficients", float), ("witness", complex)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def to_dict(self) -> dict:
         return {
             "coefficients": self.coefficients.tolist(),
             "residual": self.residual,
-            "phase_one_objective": self.phase_one_objective,
+            "witness": {
+                "re": self.witness.real.tolist(),
+                "im": self.witness.imag.tolist(),
+            },
         }
 
 
@@ -171,74 +221,106 @@ def _stabilizer_projectors(d: int) -> np.ndarray:
     return np.stack([op.entries for op in stab.states])
 
 
-def _membership(rho: Operator) -> tuple[Optional[PolytopeCertificate], float]:
+def _coordinates(h: np.ndarray) -> np.ndarray:
+    """The d^2 real coordinates of Hermitian matrices (..., d, d): the
+    diagonal, then Re and Im of the strict upper triangle (row-major)."""
+    rows, cols = np.triu_indices(h.shape[-1], 1)
+    upper = h[..., rows, cols]
+    diag = np.diagonal(h, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
+
+
+def _hermitian(y: np.ndarray, d: int) -> np.ndarray:
+    """The W with y . _coordinates(H) == Tr(W H) for every Hermitian H."""
+    rows, cols = np.triu_indices(d, 1)
+    k = rows.size
+    w = np.diag(y[:d]).astype(complex)
+    w[rows, cols] = (y[d : d + k] + 1j * y[d + k :]) / 2.0
+    w[cols, rows] = w[rows, cols].conj()
+    return w
+
+
+@lru_cache(maxsize=None)
+def _stabilizer_coordinates(d: int) -> np.ndarray:
+    return _coordinates(_stabilizer_projectors(d)).T
+
+
+def _polytope_lp(rho: Operator) -> tuple[float, PolytopeCertificate]:
+    """Solve min p s.t. sum_k x_k S_k - p (1/d - rho) = rho, x, p >= 0 on
+    the d^2 real coordinates of a Hermitian matrix.
+
+    The projectors span the Hermitian matrices, so the rows are
+    independent; the trace row gives sum_k x_k = 1, and p = 1 is always
+    feasible, so p <= 1 never binds. Both certificates are checked against
+    the matrices themselves before returning.
+    """
     d = rho.dim.d
+    eye = np.eye(d) / d
     projs = _stabilizer_projectors(d)
-    n = projs.shape[0]
-    m = 2 * d * d + 1
-    a = np.zeros((m, n))
-    a[: d * d, :] = projs.real.reshape(n, -1).T
-    a[d * d : 2 * d * d, :] = projs.imag.reshape(n, -1).T
-    a[-1, :] = 1.0
-    b = np.concatenate(
-        [rho.entries.real.ravel(), rho.entries.imag.ravel(), [1.0]]
+    n = len(projs)
+    a = np.column_stack(
+        [_stabilizer_coordinates(d), -_coordinates(eye - rho.entries)]
     )
-    res = phase_one(a, b)
-    x = res.x
-    recon = np.tensordot(x, projs, axes=1)
+    cost = np.zeros(n + 1)
+    cost[n] = 1.0
+    lp = solve_lp(cost, a, _coordinates(rho.entries))
+    p = lp.x[n]
+    if -ROUND_OFF <= p <= 1.0 + ROUND_OFF:
+        p = min(max(p, 0.0), 1.0)
+    x = lp.x[:n]
+    target = (1.0 - p) * rho.entries + p * eye
     residual = max(
-        float(np.abs(recon - rho.entries).max()), abs(float(x.sum()) - 1.0)
+        float(np.abs(np.tensordot(x, projs, axes=1) - target).max()),
+        abs(float(x.sum()) - 1.0),
     )
-    if residual < FEASIBILITY_RESIDUAL and x.min() >= -DEFAULT_TOLERANCES.validation:
-        return PolytopeCertificate(x, residual, res.objective), res.objective
-    if res.objective <= INFEASIBILITY_FLOOR:
-        warnings.warn(
-            f"indeterminate polytope membership: phase-one objective "
-            f"{res.objective:.3e} is below {INFEASIBILITY_FLOOR:g} but the "
-            f"reconstruction residual {residual:.3e} exceeds "
-            f"{FEASIBILITY_RESIDUAL:g}",
-            RuntimeWarning,
+    w = _hermitian(lp.y, d)
+    on_stabilizers = float(np.einsum("kij,ji->k", projs, w).real.max())
+    on_state = float(np.trace(w @ rho.entries).real)
+    if not (
+        0.0 <= p <= 1.0
+        and residual <= LP_ACCURACY
+        and on_stabilizers <= LP_ACCURACY
+        and abs(on_state - p) <= LP_ACCURACY
+    ):
+        raise SimplexError(
+            f"polytope LP certificate fails its check: p={p!r}, rebuild "
+            f"residual {residual:.3e}, max Tr(W S_k) {on_stabilizers:.3e}, "
+            f"Tr(W rho) {on_state!r}"
         )
-    return None, res.objective
+    return float(p), PolytopeCertificate(x, residual, w)
 
 
 def stabilizer_polytope_membership(rho: Operator) -> Optional[PolytopeCertificate]:
     """Certificate of membership in the stabilizer polytope, or None.
 
-    Feasibility means some convex combination of the d(d+1) stabilizer
-    projectors reconstructs rho within FEASIBILITY_RESIDUAL. Infeasibility
-    is decided by the phase-one objective exceeding INFEASIBILITY_FLOOR;
-    the (documented) band between the two raises a warning.
+    rho is a member iff the polytope LP needs no noise (p* <= ROUND_OFF);
+    the coefficients of the certificate then rebuild rho.
     """
-    cert, _ = _membership(rho)
-    return cert
+    p, cert = _polytope_lp(rho)
+    return cert if p <= ROUND_OFF else None
 
 
 def polytope_threshold(
     rho_m: Operator, tol: float = 1e-6, dim: Optional[Dimension] = None
 ) -> ThresholdResult:
     """Smallest noise level putting the depolarized state inside the
-    stabilizer polytope (bisection; membership is monotone along the
-    depolarizing line by convexity).
+    stabilizer polytope: one exact LP with a certificate on both sides
+    (see PolytopeCertificate).
 
-    The certificate also records the Wigner threshold and whether the two
-    boundaries coincide within 2*tol on this line (CONFIRMED/REFUTED).
+    tol is recorded in the result for callers that pass a resolution; the
+    LP optimum is exact to LP_ACCURACY, far inside it. The certificate also
+    records the Wigner threshold and whether the two boundaries coincide
+    within LP_ACCURACY on this line (CONFIRMED/REFUTED). The scan holds the
+    noise the LP optimum still asks for at each trace point q,
+    max(0, (p* - q) / (1 - q)), which is zero exactly from p* on.
     """
     if dim is not None and dim != rho_m.dim:
         raise DimensionMismatchError("state dimension does not match dim")
-    trace: list[tuple[float, float]] = []
-
-    def predicate(p: float) -> bool:
-        cert, z = _membership(depolarize(rho_m, p))
-        trace.append((float(p), float(z)))
-        return cert is not None
-
-    p_star = bisect_threshold(predicate, (0.0, 1.0), tol)
-    cert, _ = _membership(depolarize(rho_m, p_star))
-    if cert is None:
-        raise RuntimeError("membership vanished at the bisection endpoint")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    p_star, cert = _polytope_lp(rho_m)
     wres = wigner_threshold(rho_m)
-    coincide = abs(p_star - wres.p) <= 2.0 * tol
+    coincide = abs(p_star - wres.p) <= LP_ACCURACY
     certificate = cert.to_dict()
     certificate.update(
         {
@@ -247,9 +329,11 @@ def polytope_threshold(
             "coincidence_with_wigner": "CONFIRMED" if coincide else "REFUTED",
         }
     )
-    return ThresholdResult(
-        "polytope", p_star, False, certificate, tuple(trace), tol, None
+    scan = tuple(
+        (float(q), float(max(0.0, (p_star - q) / (1.0 - q))) if q < 1.0 else 0.0)
+        for q in _trace_points(p_star)
     )
+    return ThresholdResult("polytope", p_star, False, certificate, scan, tol, None)
 
 
 def kd_threshold(

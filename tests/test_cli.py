@@ -114,6 +114,29 @@ class TestThresholdCommand:
         assert proc.returncode == 2
         assert "no threshold" in proc.stderr
 
+    def test_vec_with_leading_minus_takes_the_space_separated_form(self):
+        vec = "-0.5+0.1j,1,0"
+        spaced = run_cli("threshold", "--state", "custom", "--vec", vec, "--format", "csv")
+        joined = run_cli("threshold", "--state", "custom", f"--vec={vec}", "--format", "csv")
+        assert spaced.returncode == 0, spaced.stderr
+        assert spaced.stdout == joined.stdout
+        assert f"# vec={vec!r}" in spaced.stdout.split("\n")
+
+    def test_vec_without_value_is_invalid(self):
+        proc = run_cli("threshold", "--state", "custom", "--vec", "--format", "csv")
+        assert proc.returncode == 1
+        assert "--vec" in proc.stderr
+
+    def test_wigner_fine_tol_gives_the_closed_form(self):
+        # a grid of step 1e-12 would hold 10^12 points; the check reads two
+        proc = run_cli("threshold", "--method", "wigner", "--tol", "1e-12")
+        assert proc.returncode == 0, proc.stderr
+        res = json.loads(proc.stdout)["result"]
+        strange = magicnoise.magic_state("strange", magicnoise.Dimension(3))
+        assert res["p"] == magicnoise.wigner_threshold(strange).p
+        assert res["tol"] == 1e-12
+        assert abs(res["certificate"]["grid_check"] - res["p"]) < 1e-10
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -205,6 +228,13 @@ class TestScanCommand:
         assert all(b <= a + 1e-12 for a, b in zip(ws, ws[1:]))
         first_zero = next(p for p, w in gross if w <= 1e-12)
         assert abs(first_zero - 0.75) <= 0.01 + 1e-9
+
+    @pytest.mark.parametrize("step", ["1e-9", "1e-300"])
+    def test_huge_grid_rejected(self, step):
+        proc = run_cli("scan", "--step", step)
+        assert proc.returncode == 1
+        assert "grid points" in proc.stderr
+        assert proc.stdout == ""
 
     def test_empty_grid_rejected(self):
         proc = run_cli("scan", "--start", "0.3", "--stop", "0.3")

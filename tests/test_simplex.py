@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from magicnoise import SimplexError, phase_one
+from magicnoise import SimplexError, phase_one, solve_lp
 
 seeds = st.integers(0, 5_000)
 
@@ -91,3 +91,38 @@ class TestPhaseOne:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             phase_one(np.zeros((2, 3)), np.zeros(3))
+
+
+class TestSolveLP:
+    @given(seeds)
+    def test_agrees_with_reference_solver(self, seed):
+        a, b = _random_system(seed, feasible=True)
+        rng = np.random.default_rng(seed + 1)
+        c = np.abs(rng.normal(size=a.shape[1]))  # bounded below on x >= 0
+        ours = solve_lp(c, a, b)
+        ref = linprog(c, A_eq=a, b_eq=b, bounds=[(0, None)] * a.shape[1], method="highs")
+        assert abs(ours.objective - ref.fun) < 1e-8
+        assert np.abs(a @ ours.x - b).max() < 1e-8 and ours.x.min() >= 0.0
+        # the duals certify optimality: dual feasible, zero duality gap
+        assert (a.T @ ours.y - c).max() < 1e-9
+        assert abs(ours.y @ b - ours.objective) < 1e-9
+
+    def test_redundant_rows_are_dropped(self):
+        a = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
+        b = np.array([1.0, 2.0, 1.0])
+        res = solve_lp(np.array([1.0, 0.0, 0.0]), a, b)
+        assert abs(res.objective) < 1e-12
+        assert np.abs(a @ res.x - b).max() < 1e-12
+        assert (a.T @ res.y <= np.array([1.0, 0.0, 0.0]) + 1e-12).all()
+
+    def test_infeasible_raises(self):
+        with pytest.raises(SimplexError, match="infeasible"):
+            solve_lp(np.ones(2), np.array([[1.0, 1.0]]), np.array([-1.0]))
+
+    def test_unbounded_raises(self):
+        with pytest.raises(SimplexError, match="unbounded"):
+            solve_lp(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([1.0]))
+
+    def test_rejects_bad_cost(self):
+        with pytest.raises(ValueError):
+            solve_lp(np.ones(3), np.eye(2), np.ones(2))

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from magicnoise import (
     Dimension,
     DimensionMismatchError,
     NoThresholdError,
+    Operator,
     OptimizerConfig,
-    PhaseOneResult,
     PolytopeCertificate,
     ThresholdResult,
     canonical_mub_frame,
@@ -26,7 +29,6 @@ from magicnoise import (
     standard_operational_set,
     wigner_threshold,
 )
-from magicnoise import thresholds as thresholds_module
 
 FAST = OptimizerConfig(restarts=4, max_iterations=150, seed=3)
 
@@ -130,14 +132,6 @@ class TestPolytopeMembership:
             assert cert is not None
             assert cert.residual < 1e-8
 
-    def test_indeterminate_band_warns(self, strange, monkeypatch):
-        fake = PhaseOneResult(
-            x=np.full(12, 1.0 / 12.0), objective=1e-9, iterations=1
-        )
-        monkeypatch.setattr(thresholds_module, "phase_one", lambda a, b: fake)
-        with pytest.warns(RuntimeWarning, match="indeterminate"):
-            assert stabilizer_polytope_membership(strange) is None
-
 
 class TestPolytopeThreshold:
     def test_strange_coincides_with_wigner(self, strange):
@@ -175,10 +169,93 @@ class TestPolytopeThreshold:
         assert abs(c.sum() - 1.0) < 1e-8
         assert c.min() >= -1e-10
 
-    def test_scan_records_each_evaluation(self, strange):
+    def test_tol_is_recorded_not_used(self, strange):
+        coarse, fine = polytope_threshold(strange, tol=0.1), polytope_threshold(strange)
+        assert coarse.tol == 0.1 and fine.tol == 1e-6
+        assert coarse.p == fine.p == 0.75
+        with pytest.raises(ValueError):
+            polytope_threshold(strange, tol=0.0)
+
+    def test_scan_is_the_noise_still_needed(self, strange):
         res = polytope_threshold(strange, tol=1e-3)
-        # one endpoint probe + ceil(log2(1/1e-3)) midpoints
-        assert len(res.scan) == 1 + 10
+        ps = [q for q, _ in res.scan]
+        assert ps == sorted(ps) and ps[0] == 0.0 and ps[-1] == 1.0
+        assert res.p in ps
+        for q, need in res.scan:
+            if q < res.p:
+                # depolarizing rho_q by need lands exactly on rho_{p*}
+                assert abs(q + need * (1.0 - q) - res.p) < 1e-12
+            else:
+                assert need == 0.0
+
+
+def _highs_polytope_threshold(rho: np.ndarray) -> float:
+    """min p over x >= 0, 0 <= p <= 1 with sum_k x_k S_k = (1-p) rho + p/d,
+    sum_k x_k = 1, on the real and imaginary parts of every entry."""
+    d = rho.shape[0]
+    projs = np.stack([op.entries for op in stabilizer_states(Dimension(d)).states])
+    n = len(projs)
+    shift = np.eye(d) / d - rho
+    a_eq = np.zeros((2 * d * d + 1, n + 1))
+    a_eq[: d * d, :n] = projs.reshape(n, -1).real.T
+    a_eq[d * d : -1, :n] = projs.reshape(n, -1).imag.T
+    a_eq[: d * d, n] = -shift.real.ravel()
+    a_eq[d * d : -1, n] = -shift.imag.ravel()
+    a_eq[-1, :n] = 1.0
+    b_eq = np.concatenate([rho.real.ravel(), rho.imag.ravel(), [1.0]])
+    res = linprog(
+        np.eye(n + 1)[n],
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=[(0.0, None)] * n + [(0.0, 1.0)],
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        },
+    )
+    assert res.status == 0, res.message
+    return float(res.x[n])
+
+
+@st.composite
+def noisy_states(draw, d):
+    """A random pure state mixed with weight `mix` of a random full-rank
+    state: small weights keep magic, large ones land inside the polytope."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    mix = draw(st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.9]))
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    sigma = g @ g.conj().T
+    rho = (1.0 - mix) * np.outer(psi, psi.conj()) + mix * sigma / np.trace(sigma).real
+    return Operator(Dimension(d), 0.5 * (rho + rho.conj().T), role="state")
+
+
+class TestPolytopeLPProperties:
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @given(data=st.data())
+    def test_exact_threshold_with_two_sided_certificate(self, d, data):
+        rho = data.draw(noisy_states(d))
+        res = polytope_threshold(rho)
+        assert abs(res.p - _highs_polytope_threshold(rho.entries)) <= 1e-9
+        assert wigner_threshold(rho).p <= res.p + 1e-12
+
+        projs = np.stack([op.entries for op in stabilizer_states(rho.dim).states])
+        x = np.array(res.certificate["coefficients"])
+        assert x.min() >= 0.0
+        target = depolarize(rho, res.p).entries
+        assert np.abs(np.tensordot(x, projs, axes=1) - target).max() <= 1e-9
+
+        w = np.array(res.certificate["witness"]["re"]) + 1j * np.array(
+            res.certificate["witness"]["im"]
+        )
+        assert np.einsum("kij,ji->k", projs, w).real.max() <= 1e-9
+        assert abs(np.trace(w @ rho.entries).real - res.p) <= 1e-9
+        # so W separates every less noisy state from the polytope
+        for q in (0.0, 0.5 * res.p):
+            assert np.trace(w @ depolarize(rho, q).entries).real >= res.p - q - 1e-9
 
 
 class TestKDThreshold:
