@@ -390,14 +390,24 @@ def _attach_vec_values(argv: Sequence[str]) -> list[str]:
 
     A vector such as `-0.5+0.1j,1,0` starts with '-', which argparse
     takes for an option, so the space-separated form would fail with
-    "expected one argument".
+    "expected one argument". The abbreviations `--v` and `--ve`, which
+    argparse also accepts for `--vec` after the subcommand, are rewritten
+    too; before the subcommand `--v` stands for `--version`.
     """
     out: list[str] = []
+    after_command = False
     for arg in argv:
-        if out and out[-1] == "--vec" and not arg.startswith("--"):
+        prev = out[-1] if out else ""
+        if (
+            after_command
+            and len(prev) > 2
+            and "--vec".startswith(prev)
+            and not arg.startswith("--")
+        ):
             out[-1] = f"--vec={arg}"
         else:
             out.append(arg)
+        after_command = after_command or not arg.startswith("-")
     return out
 
 

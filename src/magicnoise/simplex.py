@@ -29,6 +29,8 @@ PIVOT_TOL = 1e-11
 COST_TOL = 1e-10
 # Phase-one optimum above which solve_lp declares the system infeasible.
 FEASIBILITY_TOL = 1e-9
+# Pivot budget over both phases of one solve.
+MAX_PIVOTS = 10000
 
 
 class SimplexError(RuntimeError):
@@ -100,7 +102,9 @@ def _phase_one(a, b, max_iterations: int):
     return sign, aug, rhs, basis, iterations
 
 
-def phase_one(a: np.ndarray, b: np.ndarray, max_iterations: int = 10000) -> PhaseOneResult:
+def phase_one(
+    a: np.ndarray, b: np.ndarray, max_iterations: int = MAX_PIVOTS
+) -> PhaseOneResult:
     """Minimize the sum of artificial variables for A x = b, x >= 0."""
     _, aug, rhs, basis, iterations = _phase_one(a, b, max_iterations)
     n = aug.shape[1] - aug.shape[0]
@@ -108,16 +112,15 @@ def phase_one(a: np.ndarray, b: np.ndarray, max_iterations: int = 10000) -> Phas
     return PhaseOneResult(x=v[:n], objective=float(v[n:].sum()), iterations=iterations)
 
 
-def solve_lp(
-    c: np.ndarray, a: np.ndarray, b: np.ndarray, max_iterations: int = 10000
-) -> LPResult:
+def solve_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:
     """Optimal vertex and duals of min c.x subject to A x = b, x >= 0.
 
     Raises SimplexError when the system is infeasible (phase-one optimum
-    above FEASIBILITY_TOL) or the objective is unbounded below.
+    above FEASIBILITY_TOL), the objective is unbounded below, or the two
+    phases together need more than MAX_PIVOTS pivots.
     """
     c = np.asarray(c, dtype=float)
-    sign, aug, rhs, basis, iterations = _phase_one(a, b, max_iterations)
+    sign, aug, rhs, basis, iterations = _phase_one(a, b, MAX_PIVOTS)
     m, n = aug.shape[0], aug.shape[1] - aug.shape[0]
     if c.shape != (n,):
         raise ValueError("c must match the column count of A")
@@ -144,7 +147,7 @@ def solve_lp(
     basis = [k for k in basis if k < n]
     a2, b2 = aug[keep_rows, :n], rhs[keep_rows]
 
-    iterations = _bland(a2, b2, c, basis, iterations, max_iterations)
+    iterations = _bland(a2, b2, c, basis, iterations, MAX_PIVOTS)
     x = _vertex(a2, b2, basis)
     y = np.zeros(m)
     y[keep_rows] = np.linalg.solve(a2[:, basis].T, c[basis]) * sign[keep_rows]

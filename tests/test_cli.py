@@ -121,6 +121,10 @@ class TestThresholdCommand:
         assert spaced.returncode == 0, spaced.stderr
         assert spaced.stdout == joined.stdout
         assert f"# vec={vec!r}" in spaced.stdout.split("\n")
+        for abbrev in ("--v", "--ve"):
+            short = run_cli("threshold", "--state", "custom", abbrev, vec, "--format", "csv")
+            assert short.returncode == 0, short.stderr
+            assert short.stdout == joined.stdout
 
     def test_vec_without_value_is_invalid(self):
         proc = run_cli("threshold", "--state", "custom", "--vec", "--format", "csv")
