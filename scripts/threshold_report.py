@@ -40,15 +40,12 @@ def main() -> int:
     ap.add_argument("--tol", type=float, default=1e-4, help="KD bisection resolution")
     ap.add_argument("--restarts", type=int, default=16)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", help="also write the raw results to this JSON file")
     args = ap.parse_args()
 
     dim = Dimension(args.d)
     rho = magic_state(args.state, dim)
-    config = OptimizerConfig(
-        restarts=args.restarts, seed=args.seed, threads=args.threads
-    )
+    config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
 
     results = {}
     for name, run in (

@@ -56,7 +56,6 @@ CONFIG_KEYS = {
     "class_tol",
     "seed",
     "restarts",
-    "threads",
     "format",
     "families",
     "scan_frames",
@@ -155,13 +154,12 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     class_tol = None if class_tol is None else float(class_tol)
     seed = int(_resolve(args, config, "seed", 0))
     restarts = int(_resolve(args, config, "restarts", 32))
-    threads = int(_resolve(args, config, "threads", 1))
     fmt = str(_resolve(args, config, "format", "json"))
     families = tuple(config.get("families", FRAME_FAMILIES))
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
 
-    opt = OptimizerConfig(restarts=restarts, seed=seed, threads=threads)
+    opt = OptimizerConfig(restarts=restarts, seed=seed)
     if method == "wigner":
         result = wigner_threshold(rho, scan_step=tol)
     elif method == "polytope":
@@ -184,7 +182,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             "class_tol": class_tol,
             "seed": seed,
             "restarts": restarts,
-            "threads": threads,
             "format": fmt,
             "families": list(families),
         }
@@ -363,7 +360,6 @@ def build_parser() -> _Parser:
     )
     th.add_argument("--seed", type=int, help="base seed for the frame search")
     th.add_argument("--restarts", type=int, help="frame-search restarts")
-    th.add_argument("--threads", type=int, help="worker threads for restarts")
     th.set_defaults(func=cmd_threshold)
 
     sc = sub.add_parser("scan", help="witness values over a noise grid")

@@ -1,15 +1,14 @@
 """Deterministic frame search: a seeded multi-restart downhill simplex over
-the unitary parameters of Kirkwood-Dirac frames, plus the bisection helper
-shared by all threshold computations."""
+the unitary parameters of Kirkwood-Dirac frames, the unitary logarithm
+that encodes a frame as parameters, and the bisection helper of the
+subtheory KD threshold."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .frames import OVERLAP_FLOOR, frame_from_unitaries, validate_frame
 from .qudit import Dimension, Operator, depolarize, fourier_gate
@@ -38,7 +37,6 @@ class OptimizerConfig:
     tol: float = 1e-10
     seed: int = 0
     simplex_scale: float = 0.3
-    threads: int = 1
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -47,8 +45,6 @@ class OptimizerConfig:
             raise ValueError("need at least one iteration")
         if self.tol <= 0 or self.simplex_scale <= 0:
             raise ValueError("tolerance and simplex scale must be positive")
-        if self.threads < 1:
-            raise ValueError("thread count must be positive")
         if not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
 
@@ -102,14 +98,53 @@ def unitary_from_params(dim: Dimension, params: np.ndarray) -> Operator:
     return Operator(dim, _exp_i_hermitian(_hermitian_from_params(d, params)), role="unitary")
 
 
+LOG_BRANCH_SLACK = 1e-12
+
+
+def _log_unitary(u: np.ndarray) -> np.ndarray:
+    """Hermitian H with exp(iH) = U and spectrum in (-pi, pi]; an
+    eigenvalue within LOG_BRANCH_SLACK of -1 in phase gets pi, as in the
+    principal logarithm, whichever side round-off puts it on.
+
+    U is first turned by e^(-i alpha) so that -1 sits in the middle of
+    the widest gap between its eigenphases; that gap is at least 2 pi / d,
+    so 1 + U' is well conditioned. The Cayley transform
+    i (1 + U')^-1 (1 - U') is then Hermitian with U's eigenvectors, and
+    maps the eigenvalue e^(i phi) to tan(phi / 2).
+    """
+    d = u.shape[0]
+    phases = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)
+    k = np.argmax(gaps)
+    alpha = phases[k] + 0.5 * gaps[k] - np.pi
+    turned = np.exp(-1j * alpha) * u
+    eye = np.eye(d)
+    cayley = 1j * np.linalg.solve(eye + turned, eye - turned)
+    t, vecs = np.linalg.eigh(0.5 * (cayley + cayley.conj().T))
+    theta = np.mod(alpha + 2.0 * np.arctan(t) + np.pi, 2.0 * np.pi) - np.pi
+    theta[theta <= LOG_BRANCH_SLACK - np.pi] += 2.0 * np.pi
+    return (vecs * theta) @ vecs.conj().T
+
+
 def _params_from_unitary_matrix(u: np.ndarray) -> np.ndarray:
-    gen = scipy.linalg.logm(u)
-    h = (gen - gen.conj().T) / 2j  # hermitize -i log(U) against roundoff
-    params = _params_from_hermitian(h)
+    params = _params_from_hermitian(_log_unitary(u))
     back = _exp_i_hermitian(_hermitian_from_params(u.shape[0], params))
     if np.abs(back - u).max() > 1e-10:
         raise RuntimeError("unitary log round trip failed")
     return params
+
+
+def _eigenbasis_frame_params(rho: Operator) -> np.ndarray:
+    """Parameters of the KD frame with A the eigenbasis of rho and B = A F
+    (F the Fourier gate), in which rho has Q_ij = lambda_i |<a_i|b_j>|^2
+    = lambda_i / d >= 0."""
+    _, eigvecs = np.linalg.eigh(rho.entries)
+    return np.concatenate(
+        [
+            _params_from_unitary_matrix(eigvecs),
+            _params_from_unitary_matrix(eigvecs @ fourier_gate(rho.dim).entries),
+        ]
+    )
 
 
 def params_from_unitary(u: Operator) -> np.ndarray:
@@ -259,12 +294,12 @@ def minimize_omega(
 ) -> FrameSearchPoint:
     """Search KD frames for the smallest witness value at noise level p.
 
-    Restarts are merged by (objective, restart index), so results do not
-    depend on the thread count, and enlarging the restart budget can only
-    improve the returned objective. Objectives at round-off scale collapse
-    to exact zero first, so among equally classical frames the deterministic
-    starts (canonical MUB, then the state-adapted frame) win the tie and the
-    certificate stays interpretable.
+    Restarts are merged by (objective, restart index), so enlarging the
+    restart budget can only improve the returned objective. Objectives at
+    round-off scale collapse to exact zero first, so among equally
+    classical frames the deterministic starts (canonical MUB, then the
+    state-adapted frame) win the tie and the certificate stays
+    interpretable.
     """
     if scope not in ("state", "subtheory"):
         raise ValueError("scope must be 'state' or 'subtheory'")
@@ -280,16 +315,10 @@ def minimize_omega(
 
     d2 = dim.d ** 2
     fourier_params = _params_from_unitary_matrix(fourier_gate(dim).entries)
-    starts = [np.concatenate([np.zeros(d2), fourier_params])]
-    _, eigvecs = np.linalg.eigh(rho_p.entries)
-    starts.append(
-        np.concatenate(
-            [
-                _params_from_unitary_matrix(eigvecs),
-                _params_from_unitary_matrix(eigvecs @ fourier_gate(dim).entries),
-            ]
-        )
-    )
+    starts = [
+        np.concatenate([np.zeros(d2), fourier_params]),
+        _eigenbasis_frame_params(rho_p),
+    ]
 
     def run(restart: int) -> tuple[float, int, np.ndarray]:
         if restart < len(starts):
@@ -306,13 +335,7 @@ def minimize_omega(
         )
         return fx, restart, x
 
-    indices = range(config.restarts)
-    if config.threads == 1:
-        outcomes = [run(r) for r in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(run, indices))
-
+    outcomes = [run(r) for r in range(config.restarts)]
     best_f, _, best_x = min(outcomes, key=lambda t: (t[0], t[1]))
     report = validate_frame(decode_frame(dim, best_x))
     if not report.passed:
@@ -329,10 +352,12 @@ def bisect_threshold(
 ) -> float:
     """Smallest parameter (within tol) at which a monotone predicate holds.
 
-    The predicate must be False-then-True over the interval. Exactly
-    1 + ceil(log2(span / tol)) evaluations are spent: one on the upper
-    endpoint, the rest on midpoints. A False upper endpoint means no
-    threshold exists and raises NoThresholdError.
+    The predicate must be False-then-True over the interval. The upper
+    endpoint is evaluated first: False there means no threshold exists and
+    raises NoThresholdError. The lower endpoint comes next and is returned
+    exactly when the predicate already holds there. Otherwise
+    2 + ceil(log2(span / tol)) evaluations are spent in all, the rest on
+    midpoints.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi):
@@ -343,6 +368,8 @@ def bisect_threshold(
         raise NoThresholdError(
             f"predicate is false at the upper endpoint {hi}; no threshold in range"
         )
+    if predicate(lo):
+        return lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if predicate(mid):

@@ -8,6 +8,7 @@ are stored as separate real and imaginary parts, row-major.
 from __future__ import annotations
 
 import json
+from array import array
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,12 +20,13 @@ from .thresholds import ThresholdResult
 
 
 def jsonable(value):
-    """Recursively coerce numpy scalars/arrays and tuples into JSON types."""
+    """Recursively coerce numpy scalars/arrays, float arrays and tuples into
+    JSON types."""
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, array)):
         return [jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.bool_, bool)):  # before int: bool is an int subclass
         return bool(value)

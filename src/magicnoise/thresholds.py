@@ -5,23 +5,27 @@ Four routes to "how much depolarizing noise makes the state classical":
                       checked against a grid in O(d^2) operations
   polytope_threshold  one exact LP against the stabilizer polytope, with a
                       decomposition and a separating witness as certificate
-  kd_threshold        bisection over an optimized Kirkwood-Dirac witness
+  kd_threshold        Kirkwood-Dirac: exactly 0 in scope "state", certified
+                      by the state's eigenbasis frame; in scope "subtheory"
+                      a bisection over an optimized witness (an upper bound)
   crit_threshold      minimum over frame families (an upper bound)
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .frames import gross_wigner_frame
+from .frames import ExactFrame, gross_wigner_frame, validate_frame
 from .optimize import (
     NoThresholdError,
     OptimizerConfig,
+    _eigenbasis_frame_params,
     bisect_threshold,
     decode_frame,
     minimize_omega,
@@ -76,11 +80,15 @@ class ThresholdResult:
             raise ValueError(f"threshold must lie in [0, 1], got {self.p}")
 
 
+@lru_cache(maxsize=None)
+def _gross_frame(d: int) -> ExactFrame:
+    return gross_wigner_frame(Dimension(d))
+
+
 def gross_representation_values(rho: Operator) -> np.ndarray:
     """Real Wigner-type distribution values of a state (order: row-major
     phase-space labels)."""
-    frame = gross_wigner_frame(rho.dim)
-    vals = represent_state(frame, rho).flat()
+    vals = represent_state(_gross_frame(rho.dim.d), rho).flat()
     if np.abs(vals.imag).max() > DEFAULT_TOLERANCES.validation:
         raise RuntimeError("Wigner values came out complex; frame is broken")
     return vals.real.copy()
@@ -265,8 +273,10 @@ def _polytope_lp(rho: Operator) -> tuple[float, PolytopeCertificate]:
     cost[n] = 1.0
     lp = solve_lp(cost, a, _coordinates(rho.entries))
     p = lp.x[n]
-    if -ROUND_OFF <= p <= 1.0 + ROUND_OFF:
-        p = min(max(p, 0.0), 1.0)
+    if abs(p) <= ROUND_OFF:
+        p = 0.0  # so that p == 0 exactly when rho is in the polytope
+    elif 1.0 < p <= 1.0 + ROUND_OFF:
+        p = 1.0
     x = lp.x[:n]
     target = (1.0 - p) * rho.entries + p * eye
     residual = max(
@@ -293,11 +303,12 @@ def _polytope_lp(rho: Operator) -> tuple[float, PolytopeCertificate]:
 def stabilizer_polytope_membership(rho: Operator) -> Optional[PolytopeCertificate]:
     """Certificate of membership in the stabilizer polytope, or None.
 
-    rho is a member iff the polytope LP needs no noise (p* <= ROUND_OFF);
-    the coefficients of the certificate then rebuild rho.
+    rho is a member iff the polytope LP needs no noise (p* == 0 once
+    round-off up to ROUND_OFF is snapped); the coefficients of the
+    certificate then rebuild rho.
     """
     p, cert = _polytope_lp(rho)
-    return cert if p <= ROUND_OFF else None
+    return cert if p == 0.0 else None
 
 
 def polytope_threshold(
@@ -336,6 +347,12 @@ def polytope_threshold(
     return ThresholdResult("polytope", p_star, False, certificate, scan, tol, None)
 
 
+def _packed(values: np.ndarray) -> array:
+    """A float vector as an array of C doubles: whoever keeps many KD
+    results holds 8 bytes per value instead of a Python float object."""
+    return array("d", np.asarray(values, dtype=float).tobytes())
+
+
 def kd_threshold(
     rho_m: Operator,
     config: Optional[OptimizerConfig] = None,
@@ -345,51 +362,74 @@ def kd_threshold(
     gap_tolerance: float = 1e-4,
     dim: Optional[Dimension] = None,
 ) -> ThresholdResult:
-    """Upper bound on the noise level where some Kirkwood-Dirac frame
-    represents the probed operations classically.
+    """Noise level where some Kirkwood-Dirac frame represents the probed
+    operations classically.
 
-    The bisection predicate asks the frame search to push the witness below
-    classification_tol. The certificate stores the winning frame's
-    parameters so the claim can be re-verified by decoding and
-    re-evaluating. The result also reports how the estimate compares with
-    the Wigner threshold: either the expected ordering holds within
-    gap_tolerance or a POTENTIAL_GAP diagnostic is emitted (never both).
+    scope "state" needs no noise at all: with A the eigenbasis of rho and
+    B = A F (F the Fourier gate), Q_ij = lambda_i |<a_i|b_j>|^2 =
+    lambda_i / d >= 0, so the threshold is exactly 0, certified by that
+    frame (validated, and its witness rechecked against
+    classification_tol). No search runs and config is not used.
+
+    scope "subtheory" bisects with a predicate that asks the frame search
+    to push the witness below classification_tol, an upper bound. Either
+    way the certificate stores the frame's parameters so the claim can be
+    re-verified by decoding and re-evaluating. The result also reports how
+    p compares with the Wigner threshold: either the expected ordering
+    holds within gap_tolerance or a POTENTIAL_GAP diagnostic is emitted
+    (never both).
     """
     if dim is not None and dim != rho_m.dim:
         raise DimensionMismatchError("state dimension does not match dim")
-    config = config or OptimizerConfig()
+    if scope not in ("state", "subtheory"):
+        raise ValueError("scope must be 'state' or 'subtheory'")
     if classification_tol is None:
         classification_tol = DEFAULT_TOLERANCES.classification
     dim = rho_m.dim
-    trace: list[tuple[float, float]] = []
-    cache: dict[float, np.ndarray] = {}
-    objectives: dict[float, float] = {}
 
-    def predicate(p: float) -> bool:
-        point = minimize_omega(p, rho_m, config, scope=scope)
-        trace.append((float(p), float(point.objective)))
-        cache[p] = point.params
-        objectives[p] = point.objective
-        return point.objective <= classification_tol
+    if scope == "state":
+        params = _eigenbasis_frame_params(rho_m)
+        p_hat, upper_bound, seed = 0.0, False, None
+        frame = decode_frame(dim, params)
+        dist = represent_state(frame, rho_m)
+        objective = recheck = penalty(dist)
+        report = validate_frame(frame)
+        if not report.passed or objective > classification_tol:
+            raise RuntimeError(
+                f"eigenbasis frame fails its check: witness {objective:.3e}, "
+                f"residuals {report.to_dict()}"
+            )
+        trace = [(0.0, objective)]
+    else:
+        config = config or OptimizerConfig()
+        trace = []
+        found: dict[float, tuple[np.ndarray, float]] = {}
 
-    p_hat = bisect_threshold(predicate, (0.0, 1.0), tol)
-    params = cache[p_hat]
-    frame = decode_frame(dim, params)
-    opset = standard_operational_set(rho_m, p_hat)
-    recheck = omega(p_hat, frame, opset, scope=scope)
-    dist = represent_state(frame, depolarize(rho_m, p_hat))
+        def predicate(p: float) -> bool:
+            point = minimize_omega(p, rho_m, config, scope=scope)
+            trace.append((float(p), float(point.objective)))
+            found[p] = (point.params, point.objective)
+            return point.objective <= classification_tol
+
+        p_hat = bisect_threshold(predicate, (0.0, 1.0), tol)
+        upper_bound, seed = True, config.seed
+        params, objective = found[p_hat]
+        frame = decode_frame(dim, params)
+        opset = standard_operational_set(rho_m, p_hat)
+        recheck = omega(p_hat, frame, opset, scope=scope)
+        dist = represent_state(frame, depolarize(rho_m, p_hat))
     wres = wigner_threshold(rho_m)
 
     ordering_ok = p_hat <= wres.p + gap_tolerance
     diagnostics = [] if ordering_ok else ["POTENTIAL_GAP"]
     certificate = {
         "frame": {"kind": "parametrized"},
-        "frame_params": params.tolist(),
-        "objective": objectives[p_hat],
+        "frame_params": _packed(params),
+        "objective": objective,
         "witness_recheck": recheck,
         "representation": {
-            "re": dist.flat().real.tolist(),
-            "im": dist.flat().imag.tolist(),
+            "re": _packed(dist.flat().real),
+            "im": _packed(dist.flat().imag),
         },
         "scope": scope,
         "classification_tol": classification_tol,
@@ -399,7 +439,7 @@ def kd_threshold(
         "diagnostics": diagnostics,
     }
     return ThresholdResult(
-        "kd", p_hat, True, certificate, tuple(trace), tol, config.seed
+        "kd", p_hat, upper_bound, certificate, tuple(trace), tol, seed
     )
 
 

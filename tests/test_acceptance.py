@@ -7,7 +7,6 @@ visible even under output capture.
 """
 
 import contextlib
-import json
 import subprocess
 import sys
 import time
@@ -245,6 +244,7 @@ def test_07_kd_threshold_stays_below_wigner_threshold_or_flags_gap():
         p_w = wigner_threshold(rho).p
 
         cert = result.certificate
+        assert result.p == 0.0 and not result.upper_bound
         assert abs(cert["p_wigner"] - p_w) < 1e-12
         ordered = result.p <= p_w + 1e-4
         flagged = "POTENTIAL_GAP" in cert["diagnostics"]
@@ -253,7 +253,7 @@ def test_07_kd_threshold_stays_below_wigner_threshold_or_flags_gap():
         if flagged:
             assert "p_wigner" in cert  # both values are reported on a gap
         elapsed = time.perf_counter() - start
-        assert elapsed < 120.0, f"took {elapsed:.2f}s, budget 2min"
+        assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
 
 
 def test_08_mub_frame_classicality_of_defining_basis_states():
@@ -303,17 +303,6 @@ def test_10_cli_reports_are_deterministic():
         second = subprocess.run(args, capture_output=True, timeout=300)
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout  # byte-identical reports
-
-        one = subprocess.run(
-            args + ["--threads", "1"], capture_output=True, timeout=300
-        )
-        eight = subprocess.run(
-            args + ["--threads", "8"], capture_output=True, timeout=300
-        )
-        doc_one = json.loads(one.stdout)
-        doc_eight = json.loads(eight.stdout)
-        assert doc_one["result"]["p"] == doc_eight["result"]["p"]
-        assert doc_one["result"]["certificate"] == doc_eight["result"]["certificate"]
 
 
 def test_11_kd_constructions_agree_on_random_states():

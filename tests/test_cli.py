@@ -60,8 +60,9 @@ class TestThresholdCommand:
         doc = json.loads(proc.stdout)
         res = doc["result"]
         assert res["kind"] == "kd"
-        assert res["upper_bound"] is True
-        assert res["seed"] == 1
+        assert res["p"] == 0.0
+        assert res["upper_bound"] is False
+        assert res["seed"] is None
         cert = res["certificate"]
         assert ("POTENTIAL_GAP" in cert["diagnostics"]) != cert["ordering_satisfied"]
 
@@ -316,22 +317,17 @@ class TestDeterminism:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
-    def test_thread_count_does_not_change_result(self):
-        base = (
-            "threshold",
-            "--method",
-            "kd",
-            "--seed",
-            "1",
-            "--restarts",
-            "4",
-            "--tol",
-            "1e-2",
-        )
-        one = json.loads(run_cli(*base, "--threads", "1").stdout)
-        eight = json.loads(run_cli(*base, "--threads", "8").stdout)
-        assert one["result"]["p"] == eight["result"]["p"]
-        assert one["result"]["certificate"] == eight["result"]["certificate"]
+
+def test_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, magicnoise, magicnoise.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestHelpAndVersion:

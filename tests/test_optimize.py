@@ -2,23 +2,28 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm, logm
 
 from magicnoise import (
     Dimension,
     FrameSearchPoint,
     NoThresholdError,
+    Operator,
     OptimizerConfig,
     bisect_threshold,
     decode_frame,
+    fourier_gate,
     magic_state,
     minimize_omega,
     nelder_mead,
     params_from_unitary,
+    random_state,
     random_unitary,
     restart_seed,
     unitary_from_params,
     validate_frame,
 )
+from magicnoise.optimize import _log_unitary
 
 SMALL = OptimizerConfig(restarts=4, max_iterations=150, seed=3)
 
@@ -27,7 +32,6 @@ class TestOptimizerConfig:
     def test_defaults(self):
         cfg = OptimizerConfig()
         assert cfg.restarts == 32
-        assert cfg.threads == 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -36,7 +40,7 @@ class TestOptimizerConfig:
             {"max_iterations": 0},
             {"tol": 0.0},
             {"simplex_scale": -1.0},
-            {"threads": 0},
+            {"simplex_scale": 0.0},
             {"seed": 1.5},
         ],
     )
@@ -81,6 +85,54 @@ class TestUnitaryParametrization:
     def test_decode_frame_wrong_size(self):
         with pytest.raises(ValueError):
             decode_frame(Dimension(3), np.zeros(17))
+
+
+def _unitary_cases(d: int, seed: int) -> list[np.ndarray]:
+    """A Haar-random unitary, the eigenbasis of a random state, and each
+    times the Fourier gate."""
+    dim = Dimension(d)
+    f = fourier_gate(dim).entries
+    u = random_unitary(dim, seed).entries
+    _, v = np.linalg.eigh(random_state(dim, seed).entries)
+    return [u, v, u @ f, v @ f]
+
+
+class TestUnitaryLog:
+    def _check(self, u: np.ndarray) -> np.ndarray:
+        h = _log_unitary(u)
+        assert np.abs(h - h.conj().T).max() <= 1e-14
+        spectrum = np.linalg.eigvalsh(h)
+        assert -np.pi - 1e-12 < spectrum.min() and spectrum.max() <= np.pi + 1e-12
+        assert np.abs(expm(1j * h) - u).max() <= 1e-13
+        dim = Dimension(u.shape[0])
+        params = params_from_unitary(Operator(dim, u, role="unitary"))
+        assert np.abs(unitary_from_params(dim, params).entries - u).max() <= 1e-13
+        return h
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @given(st.integers(0, 2**32 - 1))
+    def test_round_trip(self, d, seed):
+        for u in _unitary_cases(d, seed):
+            self._check(u)
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_identity_and_fourier_powers(self, d):
+        eye = np.eye(d)
+        assert np.abs(self._check(eye)).max() <= 1e-15
+        assert np.abs(self._check(-eye) - np.pi * eye).max() <= 1e-14
+        f = fourier_gate(Dimension(d)).entries
+        for power in (f, f @ f, f @ f @ f):
+            self._check(power)
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_logm_where_the_principal_log_is_unique(self, d, seed):
+        for u in _unitary_cases(d, seed):
+            if np.abs(np.linalg.eigvals(u) + 1.0).min() < 1e-6:
+                continue  # an eigenvalue at -1 has two principal logs
+            gen = logm(u)
+            want = (gen - gen.conj().T) / 2j
+            assert np.abs(_log_unitary(u) - want).max() <= 1e-12
 
 
 class TestNelderMead:
@@ -145,14 +197,6 @@ class TestMinimizeOmega:
         opset = standard_operational_set(strange, p)
         assert abs(omega(p, frame, opset, scope="state") - point.objective) < 1e-9
 
-    def test_deterministic_across_thread_counts(self, strange):
-        base = OptimizerConfig(restarts=6, max_iterations=80, seed=9, threads=1)
-        wide = OptimizerConfig(restarts=6, max_iterations=80, seed=9, threads=8)
-        p1 = minimize_omega(0.2, strange, base, scope="state")
-        p8 = minimize_omega(0.2, strange, wide, scope="state")
-        assert p1.objective == p8.objective
-        assert np.abs(p1.params - p8.params).max() == 0
-
     def test_more_restarts_never_hurt(self, strange):
         few = OptimizerConfig(restarts=3, max_iterations=80, seed=4)
         more = OptimizerConfig(restarts=9, max_iterations=80, seed=4)
@@ -179,7 +223,17 @@ class TestBisectThreshold:
 
         p = bisect_threshold(predicate, (0.0, 1.0), tol=1e-6)
         assert abs(p - 0.37) <= 1e-6
-        assert len(calls) == 1 + 20  # endpoint + ceil(log2(1 / 1e-6))
+        assert len(calls) == 2 + 20  # endpoints + ceil(log2(1 / 1e-6))
+
+    def test_always_true_predicate_returns_lo_exactly(self):
+        calls = []
+
+        def predicate(p):
+            calls.append(p)
+            return True
+
+        assert bisect_threshold(predicate, (0.25, 1.0), tol=1e-6) == 0.25
+        assert calls == [1.0, 0.25]
 
     @given(st.floats(0.01, 0.99), st.sampled_from([1e-3, 1e-4, 1e-6]))
     def test_matches_grid_scan(self, cut, tol):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.optimize import linprog
 
 from magicnoise import (
@@ -125,6 +126,20 @@ class TestPolytopeMembership:
     def test_boundary_flip(self, strange):
         assert stabilizer_polytope_membership(depolarize(strange, 0.74)) is None
         assert stabilizer_polytope_membership(depolarize(strange, 0.76)) is not None
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_stabilizer_mixtures_have_threshold_exactly_zero(self, seed, k):
+        projs = [op.entries for op in stabilizer_states(Dimension(3)).states]
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(len(projs), size=k, replace=False)
+        weights = rng.dirichlet(np.ones(k))
+        rho = Operator(
+            Dimension(3),
+            sum(w * projs[i] for w, i in zip(weights, picks)),
+            role="state",
+        )
+        assert polytope_threshold(rho).p == 0.0
+        assert stabilizer_polytope_membership(rho) is not None
 
     def test_every_stabilizer_state_is_inside(self, d3):
         for op in stabilizer_states(d3).states:
@@ -262,9 +277,9 @@ class TestKDThreshold:
     def test_strange_state_scope_is_near_zero(self, strange):
         res = kd_threshold(strange, config=FAST, tol=1e-3)
         assert res.kind == "kd"
-        assert res.upper_bound
-        assert res.seed == FAST.seed
-        assert res.p <= 2e-3
+        assert res.p == 0.0
+        assert res.upper_bound is False
+        assert res.seed is None
         assert res.certificate["objective"] <= 1e-9
         assert res.certificate["ordering_satisfied"]
         assert res.certificate["diagnostics"] == []
@@ -302,7 +317,51 @@ class TestKDThreshold:
 
     def test_scan_matches_bisection_budget(self, strange):
         res = kd_threshold(strange, config=FAST, tol=1e-2)
-        assert len(res.scan) == 1 + 7  # endpoint + ceil(log2(100))
+        # no bisection in scope state: the one point is p = 0 itself
+        assert res.scan == ((0.0, res.certificate["objective"]),)
+        assert res.tol == 1e-2
+
+    def test_rejects_unknown_scope(self, strange):
+        with pytest.raises(ValueError):
+            kd_threshold(strange, scope="all")
+
+
+def _expm_unitary(d: int, params: np.ndarray) -> np.ndarray:
+    """exp(iH) by scipy's expm, H laid out as in unitary_from_params."""
+    h = np.diag(params[:d]).astype(complex)
+    rows, cols = np.triu_indices(d, 1)
+    h[rows, cols] = params[d::2] + 1j * params[d + 1 :: 2]
+    h[cols, rows] = h[rows, cols].conj()
+    return expm(1j * h)
+
+
+class TestKDStateScopeProperties:
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @given(data=st.data())
+    def test_exact_zero_with_eigenbasis_certificate(self, d, data):
+        rho = data.draw(noisy_states(d))
+        res = kd_threshold(rho)
+        assert res.p == 0.0 and res.upper_bound is False and res.seed is None
+        cert = res.certificate
+        params = np.array(cert["frame_params"])
+        a = _expm_unitary(d, params[: d * d])
+        b = _expm_unitary(d, params[d * d :])
+        # Q_ij = <b_j|a_i><a_i|rho|b_j>
+        q = (b.conj().T @ a).T * (a.conj().T @ rho.entries @ b)
+        pen = np.abs(q.imag).sum() + np.abs(np.minimum(q.real, 0.0)).sum()
+        assert pen <= cert["classification_tol"]
+        rep = np.array(cert["representation"]["re"]) + 1j * np.array(
+            cert["representation"]["im"]
+        )
+        assert np.abs(rep - q.ravel()).max() <= 1e-9
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @given(data=st.data())
+    def test_crit_state_scope_is_zero_below_wigner(self, d, data):
+        rho = data.draw(noisy_states(d))
+        res = crit_threshold(rho)
+        assert res.p == 0.0 <= wigner_threshold(rho).p
+        assert res.certificate["per_family"]["kd"] == 0.0
 
 
 class TestCritThreshold:
