@@ -351,12 +351,13 @@ def build_parser() -> _Parser:
         choices=("state", "subtheory"),
         help="what the KD witness must classicalize",
     )
-    th.add_argument("--tol", type=float, help="bisection / scan resolution")
+    th.add_argument("--tol", type=float, help="Wigner grid step; recorded otherwise")
     th.add_argument(
         "--class-tol",
         dest="class_tol",
         type=float,
-        help="witness value below which a search point counts as classical",
+        help="kd: witness value below which a frame counts as classical, "
+        "in (0, nu_d)",
     )
     th.add_argument("--seed", type=int, help="base seed for the frame search")
     th.add_argument("--restarts", type=int, help="frame-search restarts")
@@ -381,26 +382,32 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _attach_vec_values(argv: Sequence[str]) -> list[str]:
-    """Rewrite `--vec VALUE` as `--vec=VALUE` unless VALUE is a long flag.
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite `--flag VALUE` as `--flag=VALUE` where argparse would take
+    VALUE for an option.
 
-    A vector such as `-0.5+0.1j,1,0` starts with '-', which argparse
-    takes for an option, so the space-separated form would fail with
-    "expected one argument". The abbreviations `--v` and `--ve`, which
-    argparse also accepts for `--vec` after the subcommand, are rewritten
-    too; before the subcommand `--v` stands for `--version`.
+    argparse reads an argument that starts with '-' as an option unless it
+    is a plain negative number, so `--class-tol -1e-9` and a vector such
+    as `--vec -0.5+0.1j,1,0` would fail with "expected one argument".
+    After the subcommand, a VALUE starting with '-' and a digit or '.' is
+    attached to the long flag before it, and any VALUE but a long flag to
+    `--vec` or its abbreviations `--v` and `--ve`, which argparse also
+    accepts there; before the subcommand `--v` stands for `--version`.
     """
     out: list[str] = []
     after_command = False
     for arg in argv:
         prev = out[-1] if out else ""
+        takes_it = "--vec".startswith(prev) and not arg.startswith("--")
+        negative = arg[:1] == "-" and arg[1:2] in set("0123456789.")
         if (
             after_command
             and len(prev) > 2
-            and "--vec".startswith(prev)
-            and not arg.startswith("--")
+            and prev.startswith("--")
+            and "=" not in prev
+            and (takes_it or negative)
         ):
-            out[-1] = f"--vec={arg}"
+            out[-1] = f"{prev}={arg}"
         else:
             out.append(arg)
         after_command = after_command or not arg.startswith("-")
@@ -409,7 +416,7 @@ def _attach_vec_values(argv: Sequence[str]) -> list[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    argv = _attach_vec_values(sys.argv[1:] if argv is None else argv)
+    argv = _attach_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,17 +1,16 @@
 """Deterministic frame search: a seeded multi-restart downhill simplex over
-the unitary parameters of Kirkwood-Dirac frames, the unitary logarithm
-that encodes a frame as parameters, and the bisection helper of the
-subtheory KD threshold."""
+the unitary parameters of Kirkwood-Dirac frames for the subtheory witness,
+and the unitary logarithm that encodes a frame as parameters."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .frames import OVERLAP_FLOOR, frame_from_unitaries, validate_frame
-from .qudit import Dimension, Operator, depolarize, fourier_gate
+from .qudit import Dimension, Operator, fourier_gate
 from .representations import (
     OperationalSet,
     _penalty_array,
@@ -20,7 +19,7 @@ from .representations import (
 
 
 class NoThresholdError(RuntimeError):
-    """Raised when the bisection predicate fails even at the top endpoint."""
+    """Raised when no noise level in [0, 1] makes the state classical."""
 
 
 @dataclass(frozen=True)
@@ -239,22 +238,15 @@ def nelder_mead(
     return simplex[best].copy(), float(values[best])
 
 
-def _kd_values(u: np.ndarray, v: np.ndarray, rho: np.ndarray, ov_t: np.ndarray) -> np.ndarray:
-    return (u.conj().T @ rho @ v) * ov_t
-
-
 class _Objective:
-    """Fast witness evaluation straight from the two basis unitaries."""
+    """Subtheory witness evaluated straight from the two basis unitaries:
+    the largest penalty over the states, effects and channels of opset."""
 
-    def __init__(self, dim: Dimension, rho_p: np.ndarray, opset: Optional[OperationalSet], scope: str):
-        self.d = dim.d
-        self.rho = rho_p
-        self.scope = scope
-        if scope == "subtheory":
-            assert opset is not None
-            self.states = np.stack([op.entries for op in opset.states])
-            self.effects = np.stack([op.entries for op in opset.effects])
-            self.kraus = [np.stack(ch.kraus) for ch in opset.channels]
+    def __init__(self, opset: OperationalSet):
+        self.d = opset.dim.d
+        self.states = np.stack([op.entries for op in opset.states])
+        self.effects = np.stack([op.entries for op in opset.effects])
+        self.kraus = [np.stack(ch.kraus) for ch in opset.channels]
 
     def __call__(self, params: np.ndarray) -> float:
         d = self.d
@@ -265,8 +257,6 @@ class _Objective:
         if np.abs(ov).min() <= OVERLAP_FLOOR:
             return np.inf
         ov_t = ov.T
-        if self.scope == "state":
-            return _penalty_array(_kd_values(u, v, self.rho, ov_t))
         worst = 0.0
         state_vals = np.einsum("xk,sxy,yl->skl", u.conj(), self.states, v) * ov_t
         for s in range(state_vals.shape[0]):
@@ -282,42 +272,26 @@ class _Objective:
         return worst
 
 
-ZERO_OBJECTIVE_FLOOR = 1e-13
-
-
 def minimize_omega(
-    p: float,
-    rho_m: Operator,
-    config: OptimizerConfig,
-    scope: str = "state",
-    opset: Optional[OperationalSet] = None,
+    p: float, rho_m: Operator, config: OptimizerConfig
 ) -> FrameSearchPoint:
-    """Search KD frames for the smallest witness value at noise level p.
+    """Search KD frames for the smallest subtheory witness value at noise
+    level p (the operational set of standard_operational_set).
 
+    Restart 0 starts at the computational/Fourier frame, restart 1 at the
+    eigenbasis frame of the noisy state, the rest at seeded random points.
     Restarts are merged by (objective, restart index), so enlarging the
-    restart budget can only improve the returned objective. Objectives at
-    round-off scale collapse to exact zero first, so among equally
-    classical frames the deterministic starts (canonical MUB, then the
-    state-adapted frame) win the tie and the certificate stays
-    interpretable.
+    restart budget can only improve the returned objective.
     """
-    if scope not in ("state", "subtheory"):
-        raise ValueError("scope must be 'state' or 'subtheory'")
     dim = rho_m.dim
-    rho_p = depolarize(rho_m, p)
-    if scope == "subtheory" and opset is None:
-        opset = standard_operational_set(rho_m, p)
-    objective = _Objective(dim, rho_p.entries, opset, scope)
-
-    def snapped_objective(x: np.ndarray) -> float:
-        f = objective(x)
-        return 0.0 if f <= ZERO_OBJECTIVE_FLOOR else f
+    opset = standard_operational_set(rho_m, p)
+    objective = _Objective(opset)
 
     d2 = dim.d ** 2
     fourier_params = _params_from_unitary_matrix(fourier_gate(dim).entries)
     starts = [
         np.concatenate([np.zeros(d2), fourier_params]),
-        _eigenbasis_frame_params(rho_p),
+        _eigenbasis_frame_params(opset.magic_state),
     ]
 
     def run(restart: int) -> tuple[float, int, np.ndarray]:
@@ -327,7 +301,7 @@ def minimize_omega(
             rng = np.random.default_rng(restart_seed(config.seed, restart))
             x0 = rng.normal(0.0, config.simplex_scale, size=2 * d2)
         x, fx = nelder_mead(
-            snapped_objective,
+            objective,
             x0,
             config.simplex_scale,
             config.max_iterations,
@@ -343,37 +317,3 @@ def minimize_omega(
             f"search returned an invalid frame (residuals {report.to_dict()})"
         )
     return FrameSearchPoint(params=best_x, objective=best_f)
-
-
-def bisect_threshold(
-    predicate: Callable[[float], bool],
-    interval: tuple[float, float] = (0.0, 1.0),
-    tol: float = 1e-6,
-) -> float:
-    """Smallest parameter (within tol) at which a monotone predicate holds.
-
-    The predicate must be False-then-True over the interval. The upper
-    endpoint is evaluated first: False there means no threshold exists and
-    raises NoThresholdError. The lower endpoint comes next and is returned
-    exactly when the predicate already holds there. Otherwise
-    2 + ceil(log2(span / tol)) evaluations are spent in all, the rest on
-    midpoints.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (lo < hi):
-        raise ValueError("interval must satisfy lo < hi")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if not predicate(hi):
-        raise NoThresholdError(
-            f"predicate is false at the upper endpoint {hi}; no threshold in range"
-        )
-    if predicate(lo):
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

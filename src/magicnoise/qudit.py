@@ -134,18 +134,6 @@ class WeylIndex:
         return self.p % dim.d == 0 and self.q % dim.d == 0
 
 
-def _shift_matrix(d: int) -> np.ndarray:
-    x = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        x[(k + 1) % d, k] = 1.0
-    return x
-
-
-def _clock_matrix(d: int) -> np.ndarray:
-    w = np.exp(2j * np.pi / d)
-    return np.diag(w ** np.arange(d))
-
-
 def weyl_operator(dim: Dimension, idx: WeylIndex) -> Operator:
     """Weyl operator W_(p,q) = Z^p X^q with X|x> = |x+1 mod d>, Z|x> = w^x |x>.
 

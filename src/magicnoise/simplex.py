@@ -39,13 +39,6 @@ class SimplexError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PhaseOneResult:
-    x: np.ndarray          # candidate solution of the original system
-    objective: float        # optimal sum of artificials (0 => feasible)
-    iterations: int
-
-
-@dataclass(frozen=True)
 class LPResult:
     x: np.ndarray           # optimal vertex
     y: np.ndarray           # equality duals: A^T y <= c, b.y == objective
@@ -53,7 +46,7 @@ class LPResult:
     iterations: int         # pivots over both phases
 
 
-def _bland(a, b, c, basis: list[int], iterations: int, max_iterations: int) -> int:
+def _bland(a, b, c, basis: list[int], iterations: int) -> int:
     """Pivot basis (in place) to an optimum of min c.x, A x = b, x >= 0;
     returns the running pivot count."""
     while True:
@@ -63,8 +56,8 @@ def _bland(a, b, c, basis: list[int], iterations: int, max_iterations: int) -> i
         entering = np.flatnonzero(reduced < -COST_TOL)
         if entering.size == 0:
             return iterations
-        if iterations >= max_iterations:
-            raise SimplexError(f"no convergence within {max_iterations} pivots")
+        if iterations >= MAX_PIVOTS:
+            raise SimplexError(f"no convergence within {MAX_PIVOTS} pivots")
         j = int(entering[0])
         sol = np.linalg.solve(cols, np.column_stack([b, a[:, j]]))
         x_b, u = np.maximum(sol[:, 0], 0.0), sol[:, 1]
@@ -85,33 +78,6 @@ def _vertex(a, b, basis: list[int]) -> np.ndarray:
     return x
 
 
-def _phase_one(a, b, max_iterations: int):
-    """Artificial problem [A | I] after flipping rows so b >= 0, solved
-    from the artificial basis: (flip signs, [A | I], b >= 0, basis, pivots)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = a.shape
-    if b.shape != (m,):
-        raise ValueError("b must match the row count of A")
-    sign = np.where(b < 0, -1.0, 1.0)
-    aug = np.hstack([a * sign[:, None], np.eye(m)])
-    rhs = b * sign
-    cost = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    iterations = _bland(aug, rhs, cost, basis, 0, max_iterations)
-    return sign, aug, rhs, basis, iterations
-
-
-def phase_one(
-    a: np.ndarray, b: np.ndarray, max_iterations: int = MAX_PIVOTS
-) -> PhaseOneResult:
-    """Minimize the sum of artificial variables for A x = b, x >= 0."""
-    _, aug, rhs, basis, iterations = _phase_one(a, b, max_iterations)
-    n = aug.shape[1] - aug.shape[0]
-    v = _vertex(aug, rhs, basis)
-    return PhaseOneResult(x=v[:n], objective=float(v[n:].sum()), iterations=iterations)
-
-
 def solve_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:
     """Optimal vertex and duals of min c.x subject to A x = b, x >= 0.
 
@@ -120,10 +86,21 @@ def solve_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:
     phases together need more than MAX_PIVOTS pivots.
     """
     c = np.asarray(c, dtype=float)
-    sign, aug, rhs, basis, iterations = _phase_one(a, b, MAX_PIVOTS)
-    m, n = aug.shape[0], aug.shape[1] - aug.shape[0]
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape
+    if b.shape != (m,):
+        raise ValueError("b must match the row count of A")
     if c.shape != (n,):
         raise ValueError("c must match the column count of A")
+    # Phase one: the artificial problem [A | I] after flipping rows so
+    # that b >= 0, solved from the artificial basis.
+    sign = np.where(b < 0, -1.0, 1.0)
+    aug = np.hstack([a * sign[:, None], np.eye(m)])
+    rhs = b * sign
+    basis = list(range(n, n + m))
+    cost = np.concatenate([np.zeros(n), np.ones(m)])
+    iterations = _bland(aug, rhs, cost, basis, 0)
     artificial = _vertex(aug, rhs, basis)[n:].sum()
     if artificial > FEASIBILITY_TOL:
         raise SimplexError(f"infeasible: phase-one optimum {artificial:.3e}")
@@ -147,7 +124,7 @@ def solve_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:
     basis = [k for k in basis if k < n]
     a2, b2 = aug[keep_rows, :n], rhs[keep_rows]
 
-    iterations = _bland(a2, b2, c, basis, iterations, MAX_PIVOTS)
+    iterations = _bland(a2, b2, c, basis, iterations)
     x = _vertex(a2, b2, basis)
     y = np.zeros(m)
     y[keep_rows] = np.linalg.solve(a2[:, basis].T, c[basis]) * sign[keep_rows]

@@ -6,9 +6,10 @@ Four routes to "how much depolarizing noise makes the state classical":
   polytope_threshold  one exact LP against the stabilizer polytope, with a
                       decomposition and a separating witness as certificate
   kd_threshold        Kirkwood-Dirac: exactly 0 in scope "state", certified
-                      by the state's eigenbasis frame; in scope "subtheory"
-                      a bisection over an optimized witness (an upper bound)
-  crit_threshold      minimum over frame families (an upper bound)
+                      by the state's eigenbasis frame; none in scope
+                      "subtheory", where every KD frame keeps the witness
+                      at or above subtheory_floor(d) at every noise level
+  crit_threshold      minimum over the frame families gross and kd
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .optimize import (
     NoThresholdError,
     OptimizerConfig,
     _eigenbasis_frame_params,
-    bisect_threshold,
     decode_frame,
     minimize_omega,
 )
@@ -35,16 +35,10 @@ from .qudit import (
     Dimension,
     DimensionMismatchError,
     Operator,
-    depolarize,
+    depolarize,  # noqa: F401  (callers reach it as thresholds.depolarize)
     stabilizer_states,
 )
-from .representations import (
-    kd_matrix,
-    omega,
-    penalty,
-    represent_state,
-    standard_operational_set,
-)
+from .representations import kd_matrix, penalty, represent_state
 from .simplex import SimplexError, solve_lp
 
 # How far a polytope LP optimum and its certificates may sit from exact.
@@ -353,6 +347,32 @@ def _packed(values: np.ndarray) -> array:
     return array("d", np.asarray(values, dtype=float).tobytes())
 
 
+def subtheory_floor(d: int) -> float:
+    """nu_d = sqrt((d-1) / (2 d (d+1))), below which no Kirkwood-Dirac
+    frame brings the subtheory witness at any noise level.
+
+    Take any KD frame over orthonormal bases {a_i}, {b_j}. For fixed i,
+    sum_j |<b_j|a_i>|^2 = 1, so some overlap c = <b_j|a_i> has
+    |c|^2 <= 1/d. Its dual D = |a_i><b_j| / c satisfies D^2 = D, so
+    Tr D^2 = Tr D = 1 and ||D||_F^2 = 1/|c|^2. The Hermitian
+    K = (D - D^dag) / 2i gives Im Tr(E D) = Tr(E K) for every Hermitian
+    effect E, and has Tr K = Im Tr D = 0 and
+    ||K||_F^2 = (2 ||D||_F^2 - 2 Re Tr D^2) / 4 = (1/|c|^2 - 1) / 2
+    >= (d-1) / 2.
+
+    The d(d+1) stabilizer projectors Pi_k form the d+1 mutually unbiased
+    bases of an odd prime d, a complex projective 2-design (Klappenecker
+    and Roetteler, 2005): sum_k Pi_k (x) Pi_k = 1 + SWAP. Hence
+    sum_k Tr(Pi_k K)^2 = (Tr K)^2 + Tr K^2 = ||K||_F^2 >= (d-1) / 2, and
+    the largest of the d(d+1) terms is at least the mean,
+    (d-1) / (2 d (d+1)). Some stabilizer effect Pi_k, an effect of every
+    standard_operational_set, therefore has |Im xi_k(i, j)| >= nu_d,
+    whatever the frame and whatever p, and the subtheory witness, which
+    sums |Im xi| over the sample points, is at least as large.
+    """
+    return math.sqrt((d - 1) / (2.0 * d * (d + 1)))
+
+
 def kd_threshold(
     rho_m: Operator,
     config: Optional[OptimizerConfig] = None,
@@ -369,15 +389,18 @@ def kd_threshold(
     B = A F (F the Fourier gate), Q_ij = lambda_i |<a_i|b_j>|^2 =
     lambda_i / d >= 0, so the threshold is exactly 0, certified by that
     frame (validated, and its witness rechecked against
-    classification_tol). No search runs and config is not used.
+    classification_tol); config is not used. The certificate stores the
+    frame's parameters so the claim can be re-verified by decoding and
+    re-evaluating. The result also reports how p compares with the Wigner
+    threshold: either the expected ordering holds within gap_tolerance or
+    a POTENTIAL_GAP diagnostic is emitted (never both).
 
-    scope "subtheory" bisects with a predicate that asks the frame search
-    to push the witness below classification_tol, an upper bound. Either
-    way the certificate stores the frame's parameters so the claim can be
-    re-verified by decoding and re-evaluating. The result also reports how
-    p compares with the Wigner threshold: either the expected ordering
-    holds within gap_tolerance or a POTENTIAL_GAP diagnostic is emitted
-    (never both).
+    scope "subtheory" has no threshold: every frame keeps the witness at
+    or above subtheory_floor(d) at every p. One frame search at p = 1
+    cross-checks that floor, and NoThresholdError names both values.
+
+    classification_tol outside (0, subtheory_floor(d)), or below the
+    certificate's round-off, raises ValueError.
     """
     if dim is not None and dim != rho_m.dim:
         raise DimensionMismatchError("state dimension does not match dim")
@@ -386,38 +409,41 @@ def kd_threshold(
     if classification_tol is None:
         classification_tol = DEFAULT_TOLERANCES.classification
     dim = rho_m.dim
+    floor = subtheory_floor(dim.d)
+    if not 0.0 < classification_tol < floor:
+        raise ValueError(
+            f"classification_tol must lie in (0, {floor:.4f}), the subtheory "
+            f"floor at d={dim.d}; got {classification_tol!r}"
+        )
 
-    if scope == "state":
-        params = _eigenbasis_frame_params(rho_m)
-        p_hat, upper_bound, seed = 0.0, False, None
-        frame = decode_frame(dim, params)
-        dist = represent_state(frame, rho_m)
-        objective = recheck = penalty(dist)
-        report = validate_frame(frame)
-        if not report.passed or objective > classification_tol:
+    if scope == "subtheory":
+        best = minimize_omega(1.0, rho_m, config or OptimizerConfig())
+        if best.objective < floor:
             raise RuntimeError(
-                f"eigenbasis frame fails its check: witness {objective:.3e}, "
-                f"residuals {report.to_dict()}"
+                f"frame search found witness {best.objective!r} below the "
+                f"proven floor {floor!r}"
             )
-        trace = [(0.0, objective)]
-    else:
-        config = config or OptimizerConfig()
-        trace = []
-        found: dict[float, tuple[np.ndarray, float]] = {}
+        raise NoThresholdError(
+            f"no KD frame classicalizes the stabilizer subtheory at any "
+            f"noise: the witness is at least subtheory_floor({dim.d}) = "
+            f"{floor:.4f} (best found at p = 1: {best.objective:.4f})"
+        )
 
-        def predicate(p: float) -> bool:
-            point = minimize_omega(p, rho_m, config, scope=scope)
-            trace.append((float(p), float(point.objective)))
-            found[p] = (point.params, point.objective)
-            return point.objective <= classification_tol
-
-        p_hat = bisect_threshold(predicate, (0.0, 1.0), tol)
-        upper_bound, seed = True, config.seed
-        params, objective = found[p_hat]
-        frame = decode_frame(dim, params)
-        opset = standard_operational_set(rho_m, p_hat)
-        recheck = omega(p_hat, frame, opset, scope=scope)
-        dist = represent_state(frame, depolarize(rho_m, p_hat))
+    p_hat = 0.0
+    params = _eigenbasis_frame_params(rho_m)
+    frame = decode_frame(dim, params)
+    dist = represent_state(frame, rho_m)
+    objective = penalty(dist)
+    report = validate_frame(frame)
+    if not report.passed:
+        raise RuntimeError(
+            f"eigenbasis frame fails validation: residuals {report.to_dict()}"
+        )
+    if objective > classification_tol:
+        raise ValueError(
+            f"classification_tol {classification_tol!r} is below the round-off "
+            f"witness {objective:.3e} of the exact eigenbasis certificate"
+        )
     wres = wigner_threshold(rho_m)
 
     ordering_ok = p_hat <= wres.p + gap_tolerance
@@ -426,7 +452,7 @@ def kd_threshold(
         "frame": {"kind": "parametrized"},
         "frame_params": _packed(params),
         "objective": objective,
-        "witness_recheck": recheck,
+        "witness_recheck": objective,
         "representation": {
             "re": _packed(dist.flat().real),
             "im": _packed(dist.flat().imag),
@@ -439,7 +465,7 @@ def kd_threshold(
         "diagnostics": diagnostics,
     }
     return ThresholdResult(
-        "kd", p_hat, upper_bound, certificate, tuple(trace), tol, seed
+        "kd", p_hat, False, certificate, ((p_hat, objective),), tol, None
     )
 
 
@@ -455,10 +481,14 @@ def crit_threshold(
     tol: float = 1e-6,
     dim: Optional[Dimension] = None,
 ) -> ThresholdResult:
-    """Minimum threshold over the searched frame families (upper bound).
+    """Minimum threshold over the frame families: "gross" is the Wigner
+    threshold, "kd" is kd_threshold in the given scope.
 
-    A family whose predicate never fires (no threshold in range) is skipped;
-    if every family fails, NoThresholdError propagates.
+    In scope "state" the KD family wins with its exact 0; in scope
+    "subtheory" it has no threshold (see subtheory_floor) and is skipped,
+    so the result is the Wigner threshold. upper_bound and seed are the
+    winning family's own. If every family is skipped, NoThresholdError
+    propagates.
     """
     if dim is not None and dim != rho_m.dim:
         raise DimensionMismatchError("state dimension does not match dim")
@@ -470,8 +500,6 @@ def crit_threshold(
     unknown = set(chosen) - set(FRAME_FAMILIES)
     if unknown:
         raise ValueError(f"unknown frame families: {sorted(unknown)}")
-    if "kd" in chosen and config is None:
-        config = OptimizerConfig()
 
     per_family: dict[str, Optional[float]] = {}
     results: dict[str, ThresholdResult] = {}
@@ -498,9 +526,8 @@ def crit_threshold(
         "per_family": per_family,
         "winner": winner.certificate,
     }
-    seed = config.seed if "kd" in results else None
     return ThresholdResult(
-        "crit", p_best, True, certificate, winner.scan, tol, seed
+        "crit", p_best, winner.upper_bound, certificate, winner.scan, tol, winner.seed
     )
 
 

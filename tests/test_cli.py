@@ -81,6 +81,9 @@ class TestThresholdCommand:
         assert doc["result"]["kind"] == "crit"
         per = doc["result"]["certificate"]["per_family"]
         assert set(per) == {"gross", "kd"}
+        # the exact state-scope KD value wins, and no search ran
+        assert doc["result"]["upper_bound"] is False
+        assert doc["result"]["seed"] is None
 
     def test_csv_format_embeds_config(self):
         proc = run_cli("threshold", "--method", "wigner", "--format", "csv")
@@ -114,6 +117,26 @@ class TestThresholdCommand:
         )
         assert proc.returncode == 2
         assert "no threshold" in proc.stderr
+        assert "subtheory_floor(3) = 0.2887" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "class_tol, scope",
+        [
+            ("0", "state"),
+            ("-1e-9", "state"),
+            ("0.5", "state"),
+            ("0.5", "subtheory"),
+            ("1e-300", "state"),
+        ],
+    )
+    def test_class_tol_out_of_range_exits_1(self, class_tol, scope):
+        proc = run_cli(
+            "threshold", "--method", "kd", "--scope", scope, "--class-tol", class_tol
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("magicnoise: error: classification_tol")
 
     def test_vec_with_leading_minus_takes_the_space_separated_form(self):
         vec = "-0.5+0.1j,1,0"

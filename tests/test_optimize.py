@@ -7,19 +7,17 @@ from scipy.linalg import expm, logm
 from magicnoise import (
     Dimension,
     FrameSearchPoint,
-    NoThresholdError,
     Operator,
     OptimizerConfig,
-    bisect_threshold,
     decode_frame,
     fourier_gate,
-    magic_state,
     minimize_omega,
     nelder_mead,
     params_from_unitary,
     random_state,
     random_unitary,
     restart_seed,
+    subtheory_floor,
     unitary_from_params,
     validate_frame,
 )
@@ -182,79 +180,25 @@ class TestRestartSeeds:
 
 
 class TestMinimizeOmega:
-    def test_strange_state_scope_reaches_zero(self, strange):
-        point = minimize_omega(0.0, strange, SMALL, scope="state")
-        assert isinstance(point, FrameSearchPoint)
-        assert point.objective < 1e-9
-
     def test_certificate_frame_is_valid_and_reproduces_objective(self, strange):
         from magicnoise import omega, standard_operational_set
 
         p = 0.3
-        point = minimize_omega(p, strange, SMALL, scope="state")
+        point = minimize_omega(p, strange, SMALL)
+        assert isinstance(point, FrameSearchPoint)
         frame = decode_frame(strange.dim, point.params)
         assert validate_frame(frame).passed
         opset = standard_operational_set(strange, p)
-        assert abs(omega(p, frame, opset, scope="state") - point.objective) < 1e-9
+        value = omega(p, frame, opset, scope="subtheory")
+        assert abs(value - point.objective) < 1e-9
 
     def test_more_restarts_never_hurt(self, strange):
         few = OptimizerConfig(restarts=3, max_iterations=80, seed=4)
         more = OptimizerConfig(restarts=9, max_iterations=80, seed=4)
-        p_few = minimize_omega(0.15, strange, few, scope="subtheory")
-        p_more = minimize_omega(0.15, strange, more, scope="subtheory")
+        p_few = minimize_omega(0.15, strange, few)
+        p_more = minimize_omega(0.15, strange, more)
         assert p_more.objective <= p_few.objective + 1e-15
 
     def test_subtheory_scope_stays_large(self, strange):
-        point = minimize_omega(1.0, strange, SMALL, scope="subtheory")
-        assert point.objective > 1e-3
-
-    def test_rejects_unknown_scope(self, strange):
-        with pytest.raises(ValueError):
-            minimize_omega(0.0, strange, SMALL, scope="all")
-
-
-class TestBisectThreshold:
-    def test_step_predicate(self):
-        calls = []
-
-        def predicate(p):
-            calls.append(p)
-            return p >= 0.37
-
-        p = bisect_threshold(predicate, (0.0, 1.0), tol=1e-6)
-        assert abs(p - 0.37) <= 1e-6
-        assert len(calls) == 2 + 20  # endpoints + ceil(log2(1 / 1e-6))
-
-    def test_always_true_predicate_returns_lo_exactly(self):
-        calls = []
-
-        def predicate(p):
-            calls.append(p)
-            return True
-
-        assert bisect_threshold(predicate, (0.25, 1.0), tol=1e-6) == 0.25
-        assert calls == [1.0, 0.25]
-
-    @given(st.floats(0.01, 0.99), st.sampled_from([1e-3, 1e-4, 1e-6]))
-    def test_matches_grid_scan(self, cut, tol):
-        predicate = lambda p: p >= cut
-        p = bisect_threshold(predicate, (0.0, 1.0), tol=tol)
-        grid = np.arange(0.0, 1.0 + 1e-9, 1e-6)
-        p_grid = grid[np.argmax(grid >= cut)]
-        assert abs(p - p_grid) <= tol + 1e-6
-
-    def test_upper_bound_property(self):
-        # returned point always satisfies the predicate
-        for cut in (0.1, 0.5, 0.9):
-            p = bisect_threshold(lambda x: x >= cut, tol=1e-4)
-            assert p >= cut
-
-    def test_no_threshold(self):
-        with pytest.raises(NoThresholdError):
-            bisect_threshold(lambda p: False)
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            bisect_threshold(lambda p: True, (0.5, 0.5))
-        with pytest.raises(ValueError):
-            bisect_threshold(lambda p: True, (0.0, 1.0), tol=0.0)
+        point = minimize_omega(1.0, strange, SMALL)
+        assert point.objective >= subtheory_floor(3)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from magicnoise import SimplexError, phase_one, solve_lp
+from magicnoise import SimplexError, simplex, solve_lp
 
 seeds = st.integers(0, 5_000)
 
@@ -33,64 +33,69 @@ def _oracle_feasible(a: np.ndarray, b: np.ndarray) -> bool:
     return res.status == 0
 
 
+def _feasible_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Phase one alone: solve_lp with zero cost returns a feasible vertex."""
+    return solve_lp(np.zeros(a.shape[1]), a, b).x
+
+
 class TestPhaseOne:
     def test_trivial_identity_system(self):
         a = np.eye(3)
         b = np.array([1.0, 2.0, 3.0])
-        res = phase_one(a, b)
-        assert res.objective < 1e-10
-        assert np.abs(res.x - b).max() < 1e-10
+        assert np.abs(_feasible_point(a, b) - b).max() < 1e-10
 
     def test_negative_rhs_is_flipped(self):
         a = -np.eye(2)
         b = np.array([-1.0, -2.0])
-        res = phase_one(a, b)
-        assert res.objective < 1e-10
-        assert np.abs(a @ res.x - b).max() < 1e-10
+        assert np.abs(a @ _feasible_point(a, b) - b).max() < 1e-10
+        # with a cost, the duals come back in the unflipped rows' signs
+        res = solve_lp(np.ones(2), a, b)
+        assert np.abs(res.y + 1.0).max() < 1e-12
+        assert abs(res.y @ b - res.objective) < 1e-12
 
     def test_known_infeasible(self):
         # x1 + x2 = -1 has no solution with x >= 0
-        a = np.array([[1.0, 1.0]])
-        b = np.array([-1.0])
-        res = phase_one(a, b)
-        assert res.objective > 0.5
+        with pytest.raises(SimplexError, match="infeasible"):
+            _feasible_point(np.array([[1.0, 1.0]]), np.array([-1.0]))
 
     def test_redundant_rows(self):
         a = np.array([[1.0, 1.0], [2.0, 2.0]])
         b = np.array([1.0, 2.0])
-        res = phase_one(a, b)
-        assert res.objective < 1e-10
-        assert np.abs(a @ res.x - b).max() < 1e-10
+        assert np.abs(a @ _feasible_point(a, b) - b).max() < 1e-10
 
     @given(seeds)
     def test_constructed_feasible_systems(self, seed):
         a, b = _random_system(seed, feasible=True)
-        res = phase_one(a, b)
-        assert res.objective < 1e-8
-        assert np.abs(a @ res.x - b).max() < 1e-7
-        assert res.x.min() >= -1e-10
+        x = _feasible_point(a, b)
+        assert np.abs(a @ x - b).max() < 1e-7
+        assert x.min() >= 0.0
 
     @given(seeds)
     def test_agrees_with_reference_solver(self, seed):
         a, b = _random_system(seed, feasible=False)
-        ours = phase_one(a, b).objective < 1e-8
+        try:
+            _feasible_point(a, b)
+            ours = True
+        except SimplexError:
+            ours = False
         assert ours == _oracle_feasible(a, b)
 
     def test_deterministic(self):
         a, b = _random_system(42, feasible=True)
-        r1 = phase_one(a, b)
-        r2 = phase_one(a, b)
+        r1 = solve_lp(np.zeros(a.shape[1]), a, b)
+        r2 = solve_lp(np.zeros(a.shape[1]), a, b)
         assert np.abs(r1.x - r2.x).max() == 0
         assert r1.iterations == r2.iterations
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         a, b = _random_system(7, feasible=True)
-        with pytest.raises(SimplexError):
-            phase_one(a, b, max_iterations=1)
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
+        with pytest.raises(SimplexError, match="within 1 pivots"):
+            _feasible_point(a, b)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            phase_one(np.zeros((2, 3)), np.zeros(3))
+            _feasible_point(np.zeros((2, 3)), np.zeros(3))
 
 
 class TestSolveLP:

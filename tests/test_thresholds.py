@@ -17,7 +17,9 @@ from magicnoise import (
     crit_threshold,
     decode_frame,
     depolarize,
+    fourier_gate,
     gross_representation_values,
+    kd_frame,
     kd_threshold,
     magic_state,
     maximally_mixed,
@@ -25,11 +27,15 @@ from magicnoise import (
     omega,
     polytope_threshold,
     random_state,
+    random_unitary,
+    represent_effect,
     stabilizer_polytope_membership,
     stabilizer_states,
     standard_operational_set,
+    subtheory_floor,
     wigner_threshold,
 )
+from magicnoise.thresholds import _stabilizer_projectors
 
 FAST = OptimizerConfig(restarts=4, max_iterations=150, seed=3)
 
@@ -315,6 +321,21 @@ class TestKDThreshold:
         with pytest.raises(NoThresholdError):
             kd_threshold(strange, config=quick, scope="subtheory", tol=0.25)
 
+    def test_no_threshold_message_names_the_floor(self, strange):
+        quick = OptimizerConfig(restarts=2, max_iterations=60, seed=1)
+        with pytest.raises(NoThresholdError, match=r"subtheory_floor\(3\) = 0\.2887"):
+            kd_threshold(strange, config=quick, scope="subtheory")
+
+    @pytest.mark.parametrize("scope", ["state", "subtheory"])
+    @pytest.mark.parametrize("class_tol", [0.0, -1e-9, 0.2887, 0.5, float("nan")])
+    def test_rejects_classification_tol_outside_the_floor(self, strange, scope, class_tol):
+        with pytest.raises(ValueError, match="classification_tol"):
+            kd_threshold(strange, scope=scope, classification_tol=class_tol)
+
+    def test_rejects_classification_tol_below_round_off(self, strange):
+        with pytest.raises(ValueError, match="round-off"):
+            kd_threshold(strange, classification_tol=1e-300)
+
     def test_scan_matches_bisection_budget(self, strange):
         res = kd_threshold(strange, config=FAST, tol=1e-2)
         # no bisection in scope state: the one point is p = 0 itself
@@ -364,11 +385,87 @@ class TestKDStateScopeProperties:
         assert res.certificate["per_family"]["kd"] == 0.0
 
 
+def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return g + g.conj().T
+
+
+def _near_degenerate_unitary(rng, a: np.ndarray, eps: float) -> np.ndarray:
+    """B = A . perm . phases . exp(i eps H): every basis vector of B sits
+    within O(eps) of one of A's. H's off-diagonal entries have modulus in
+    [0.5, 1], so every overlap stays above eps / 4 > OVERLAP_FLOOR."""
+    d = a.shape[0]
+    h = np.diag(rng.normal(size=d)).astype(complex)
+    rows, cols = np.triu_indices(d, 1)
+    h[rows, cols] = rng.uniform(0.5, 1.0, rows.size) * np.exp(
+        2j * np.pi * rng.uniform(size=rows.size)
+    )
+    h[cols, rows] = h[rows, cols].conj()
+    vals, vecs = np.linalg.eigh(h)
+    turn = (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T
+    perm = np.eye(d)[:, rng.permutation(d)]
+    phases = np.diag(np.exp(2j * np.pi * rng.uniform(size=d)))
+    return a @ perm @ phases @ turn
+
+
+@st.composite
+def kd_frames(draw):
+    """A KD frame at d = 3, 5 or 7: Haar bases; mutually unbiased bases
+    (B = A F), where every overlap has |c|^2 = 1/d and the norm bound in
+    subtheory_floor is tight; or bases eps apart, eps from 1e-1 down to
+    1e-7."""
+    d = draw(st.sampled_from([3, 5, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = Dimension(d)
+    a = random_unitary(dim, int(rng.integers(2**32))).entries
+    kind = draw(st.sampled_from(["haar", "mub", 1e-1, 1e-3, 1e-5, 1e-7]))
+    if kind == "haar":
+        b = random_unitary(dim, int(rng.integers(2**32))).entries
+    elif kind == "mub":
+        b = a @ fourier_gate(dim).entries
+    else:
+        b = _near_degenerate_unitary(rng, a, kind)
+    return kd_frame(dim, a, b)
+
+
+class TestSubtheoryFloor:
+    def test_values(self):
+        assert [round(subtheory_floor(d), 4) for d in (3, 5, 7)] == [
+            0.2887,
+            0.2582,
+            0.2315,
+        ]
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_stabilizer_projectors_are_a_2_design(self, d):
+        # sum_k Tr(Pi_k K)^2 = Tr K^2 + (Tr K)^2 for every Hermitian K
+        projs = _stabilizer_projectors(d)
+        assert len(projs) == d * (d + 1)
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            k = _random_hermitian(rng, d)
+            lhs = (np.einsum("kij,ji->k", projs, k).real ** 2).sum()
+            rhs = np.trace(k @ k).real + np.trace(k).real ** 2
+            assert abs(lhs - rhs) <= 1e-10 * rhs
+
+    @given(frame=kd_frames())
+    def test_some_stabilizer_effect_has_imaginary_part_above_the_floor(self, frame):
+        dim = frame.dim
+        worst = max(
+            np.abs(represent_effect(frame, Operator(dim, proj, role="effect")).flat().imag)
+            .max()
+            for proj in _stabilizer_projectors(dim.d)
+        )
+        assert worst >= subtheory_floor(dim.d)
+
+
 class TestCritThreshold:
     def test_takes_minimum_family(self, strange):
         res = crit_threshold(strange, config=FAST, tol=1e-3)
         assert res.kind == "crit"
-        assert res.upper_bound
+        # the winning state-scope KD value is exact, and no search ran
+        assert res.upper_bound is False
+        assert res.seed is None
         assert res.certificate["family"] == "kd"
         per = res.certificate["per_family"]
         assert abs(per["gross"] - 0.75) < 1e-9
