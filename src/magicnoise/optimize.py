@@ -5,6 +5,7 @@ and the unitary logarithm that encodes a frame as parameters."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -13,8 +14,8 @@ from .frames import OVERLAP_FLOOR, frame_from_unitaries, validate_frame
 from .qudit import Dimension, Operator, fourier_gate
 from .representations import (
     OperationalSet,
-    _penalty_array,
     standard_operational_set,
+    subtheory_witness,
 )
 
 
@@ -61,27 +62,31 @@ class FrameSearchPoint:
         object.__setattr__(self, "params", arr)
 
 
+@lru_cache(maxsize=None)
+def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(d, 1)
+
+
 def _hermitian_from_params(d: int, params: np.ndarray) -> np.ndarray:
-    h = np.zeros((d, d), dtype=complex)
-    h[np.arange(d), np.arange(d)] = params[:d]
-    pairs = params[d:].reshape(-1, 2)
-    iu = np.triu_indices(d, 1)
-    vals = pairs[:, 0] + 1j * pairs[:, 1]
-    h[iu] = vals
-    h[iu[1], iu[0]] = vals.conj()
+    """H (..., d, d) from parameters (..., d^2) as in unitary_from_params."""
+    h = np.zeros(params.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    h[..., diag, diag] = params[..., :d]
+    rows, cols = _upper(d)
+    vals = params[..., d::2] + 1j * params[..., d + 1 :: 2]
+    h[..., rows, cols] = vals
+    h[..., cols, rows] = vals.conj()
     return h
 
 
 def _params_from_hermitian(h: np.ndarray) -> np.ndarray:
-    d = h.shape[0]
-    iu = np.triu_indices(d, 1)
-    upper = h[iu]
+    upper = h[_upper(h.shape[0])]
     return np.concatenate([h.diagonal().real, np.column_stack([upper.real, upper.imag]).reshape(-1)])
 
 
 def _exp_i_hermitian(h: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def unitary_from_params(dim: Dimension, params: np.ndarray) -> Operator:
@@ -239,37 +244,25 @@ def nelder_mead(
 
 
 class _Objective:
-    """Subtheory witness evaluated straight from the two basis unitaries:
-    the largest penalty over the states, effects and channels of opset."""
+    """Subtheory witness of the KD frame of the two basis unitaries that a
+    parameter vector encodes; inf where an overlap is at or below
+    OVERLAP_FLOOR."""
 
     def __init__(self, opset: OperationalSet):
         self.d = opset.dim.d
-        self.states = np.stack([op.entries for op in opset.states])
-        self.effects = np.stack([op.entries for op in opset.effects])
-        self.kraus = [np.stack(ch.kraus) for ch in opset.channels]
+        self.opset = opset
 
     def __call__(self, params: np.ndarray) -> float:
         d = self.d
         d2 = d * d
-        u = _exp_i_hermitian(_hermitian_from_params(d, params[:d2]))
-        v = _exp_i_hermitian(_hermitian_from_params(d, params[d2:]))
-        ov = v.conj().T @ u  # ov[j, i] = <b_j | a_i>
+        u, v = _exp_i_hermitian(_hermitian_from_params(d, params.reshape(2, d2)))
+        ov = (v.conj().T @ u).T  # ov[i, j] = <b_j | a_i>
         if np.abs(ov).min() <= OVERLAP_FLOOR:
             return np.inf
-        ov_t = ov.T
-        worst = 0.0
-        state_vals = np.einsum("xk,sxy,yl->skl", u.conj(), self.states, v) * ov_t
-        for s in range(state_vals.shape[0]):
-            worst = max(worst, _penalty_array(state_vals[s]))
-        effect_vals = np.einsum("xj,sxy,yi->sji", v.conj(), self.effects, u) / ov
-        for s in range(effect_vals.shape[0]):
-            worst = max(worst, _penalty_array(effect_vals[s]))
-        duals = np.einsum("xi,yj->ijxy", u, v.conj()) / ov_t[:, :, None, None]
-        for ks in self.kraus:
-            moved = np.einsum("kxy,ijyz,kwz->ijxw", ks, duals, ks.conj())
-            gamma = np.einsum("xk,ijxy,yl->ijkl", u.conj(), moved, v) * ov_t[None, None]
-            worst = max(worst, _penalty_array(gamma))
-        return worst
+        # F_(i,j) = <b_j|a_i> |b_j><a_i| and D_(i,j) = |a_i><b_j| / <b_j|a_i>
+        fs = np.einsum("ij,xj,yi->ijxy", ov, v, u.conj()).reshape(d2, d, d)
+        ds = np.einsum("xi,yj,ij->ijxy", u, v.conj(), 1.0 / ov).reshape(d2, d, d)
+        return subtheory_witness(fs, ds, self.opset)
 
 
 def minimize_omega(

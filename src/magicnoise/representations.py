@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -136,6 +137,20 @@ class OperationalSet:
         for op in self.states + self.effects + (self.magic_state,):
             if op.dim != self.dim:
                 raise DimensionMismatchError("operational set mixes dimensions")
+
+    @cached_property
+    def stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays for subtheory_witness over row-major vec: vec(rho^T) and
+        vec(E^T) as columns, so that vec(F) . vec(rho^T) = Tr(F rho), and per
+        channel S[(a, b), (i, j)] = sum_k K[b, i] conj(K[a, j]), which maps
+        vec(X) to vec(E(X)^T)."""
+        d2 = self.dim.d ** 2
+
+        def columns(ops):
+            return np.stack([op.entries for op in ops]).transpose(2, 1, 0).reshape(d2, -1)
+
+        supers = [np.einsum("kbi,kaj->abij", ch.kraus, np.conj(ch.kraus)) for ch in self.channels]
+        return columns(self.states), columns(self.effects), np.reshape(supers, (-1, d2, d2))
 
 
 def standard_operational_set(rho_m: Operator, p: float) -> OperationalSet:
@@ -305,16 +320,27 @@ def negativity_magnitude(dist: QuasiDistribution) -> float:
     return float(np.abs(dist.flat()).sum() - 1.0)
 
 
-def _penalty_array(values: np.ndarray) -> float:
-    return float(
-        np.abs(values.imag).sum() + np.abs(np.minimum(0.0, values.real)).sum()
-    )
+def _penalties(values: np.ndarray, axis) -> np.ndarray:
+    return np.abs(values.imag).sum(axis) + np.abs(np.minimum(0.0, values.real)).sum(axis)
 
 
 def penalty(dist: QuasiDistribution) -> float:
     """Distance from the real non-negative orthant:
     sum |Im| + sum |negative part of Re|; zero iff entrywise real and >= 0."""
-    return _penalty_array(dist.flat())
+    return float(_penalties(dist.flat(), None))
+
+
+def subtheory_witness(fs: np.ndarray, ds: np.ndarray, opset: OperationalSet) -> float:
+    """Largest penalty over every state, effect and channel of opset, each
+    represented over the frame with analysis stack fs and synthesis stack ds
+    (n, d, d): Tr(F rho), Tr(E D) and Tr(F_out E(D_in)) as three matrix
+    products against opset.stacks."""
+    states, effects, supers = opset.stacks
+    fv = fs.reshape(fs.shape[0], -1)
+    dv = ds.reshape(ds.shape[0], -1)
+    singles = np.concatenate([fv @ states, dv @ effects], axis=1)
+    gammas = fv @ supers @ dv.T
+    return float(max(_penalties(singles, 0).max(), _penalties(gammas, (1, 2)).max()))
 
 
 def is_classical(dist: QuasiDistribution, tol: float = 1e-12) -> bool:
@@ -347,11 +373,4 @@ def omega(
         )
     if scope == "state":
         return penalty(represent_state(frame, opset.magic_state))
-    worst = 0.0
-    for rho in opset.states:
-        worst = max(worst, penalty(represent_state(frame, rho)))
-    for effect in opset.effects:
-        worst = max(worst, penalty(represent_effect(frame, effect)))
-    for channel in opset.channels:
-        worst = max(worst, penalty(represent_channel(frame, frame, channel)))
-    return worst
+    return subtheory_witness(frame.analysis_stack(), frame.synthesis_stack(), opset)

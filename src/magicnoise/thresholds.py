@@ -93,8 +93,11 @@ def _negative_part(values: np.ndarray) -> float:
 
 
 def _trace_points(p_star: float) -> np.ndarray:
-    """The 21 noise levels 0, 0.05, ..., 1 with the threshold merged in."""
-    return np.unique(np.append(np.linspace(0.0, 1.0, 21), p_star))
+    """The 21 noise levels 0, 0.05, ..., 1 with the threshold merged in
+    (not by np.unique, whose first call imports numpy.ma)."""
+    grid = np.linspace(0.0, 1.0, 21)
+    k = int(np.searchsorted(grid, p_star))
+    return grid if k < grid.size and grid[k] == p_star else np.insert(grid, k, p_star)
 
 
 def _grid_check(w: np.ndarray, d2: int, p_star: float, scan_step: float) -> float:
@@ -406,6 +409,8 @@ def kd_threshold(
         raise DimensionMismatchError("state dimension does not match dim")
     if scope not in ("state", "subtheory"):
         raise ValueError("scope must be 'state' or 'subtheory'")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
     if classification_tol is None:
         classification_tol = DEFAULT_TOLERANCES.classification
     dim = rho_m.dim
@@ -492,6 +497,8 @@ def crit_threshold(
     """
     if dim is not None and dim != rho_m.dim:
         raise DimensionMismatchError("state dimension does not match dim")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
     chosen = tuple(
         dict.fromkeys(_FAMILY_ALIASES.get(f, f) for f in families)
     )

@@ -138,6 +138,15 @@ class TestThresholdCommand:
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("magicnoise: error: classification_tol")
 
+    @pytest.mark.parametrize(
+        "method, tol", [("kd", "-0.001"), ("crit", "-0.001"), ("kd", "nan")]
+    )
+    def test_non_positive_tol_exits_1(self, method, tol):
+        proc = run_cli("threshold", "--method", method, f"--tol={tol}")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "magicnoise: error: tolerance must be positive\n"
+
     def test_vec_with_leading_minus_takes_the_space_separated_form(self):
         vec = "-0.5+0.1j,1,0"
         spaced = run_cli("threshold", "--state", "custom", "--vec", vec, "--format", "csv")
@@ -351,6 +360,23 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_polytope_threshold_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call, which costs a fresh
+    # process about 10 ms
+    code = (
+        "import contextlib, io, sys\n"
+        "from magicnoise import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['threshold', '--method', 'polytope'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
 
 
 class TestHelpAndVersion:

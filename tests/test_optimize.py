@@ -21,7 +21,8 @@ from magicnoise import (
     unitary_from_params,
     validate_frame,
 )
-from magicnoise.optimize import _log_unitary
+from magicnoise.frames import OVERLAP_FLOOR
+from magicnoise.optimize import _log_unitary, _Objective
 
 SMALL = OptimizerConfig(restarts=4, max_iterations=150, seed=3)
 
@@ -202,3 +203,35 @@ class TestMinimizeOmega:
     def test_subtheory_scope_stays_large(self, strange):
         point = minimize_omega(1.0, strange, SMALL)
         assert point.objective >= subtheory_floor(3)
+
+
+class TestObjective:
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_equals_omega_of_the_decoded_frame(self, d, p):
+        from magicnoise import omega, standard_operational_set
+
+        dim = Dimension(d)
+        opset = standard_operational_set(random_state(dim, d), p)
+        objective = _Objective(opset)
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            x = rng.normal(0.0, 0.5, size=2 * d * d)
+            want = omega(p, decode_frame(dim, x), opset, scope="subtheory")
+            assert abs(objective(x) - want) <= 1e-12 * max(1.0, want)
+
+    @pytest.mark.parametrize("eps, finite", [(0.0, False), (1e-9, False), (1e-6, True)])
+    def test_inf_at_or_below_the_overlap_floor(self, strange, eps, finite):
+        from magicnoise import standard_operational_set
+
+        # A = computational basis, B = a unitary with |<b_0|a_0>| ~ eps
+        # and every other overlap generic
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        m[:, 0] = (eps, 0.6, 0.8)
+        q, _ = np.linalg.qr(m)
+        b = Operator(strange.dim, q, role="unitary")
+        x = np.concatenate([np.zeros(9), params_from_unitary(b)])
+        assert (abs(q[0, 0]) <= OVERLAP_FLOOR) != finite
+        value = _Objective(standard_operational_set(strange, 0.5))(x)
+        assert np.isfinite(value) if finite else value == np.inf

@@ -9,6 +9,7 @@ from magicnoise import (
     DimensionMismatchError,
     Operator,
     QuasiDistribution,
+    canonical_mub_frame,
     clifford_generators,
     computational_basis,
     depolarize,
@@ -17,6 +18,7 @@ from magicnoise import (
     gross_wigner_frame,
     identity_channel,
     is_classical,
+    kd_frame,
     kd_matrix,
     kd_negativity,
     kd_povm,
@@ -35,6 +37,7 @@ from magicnoise import (
     standard_operational_set,
     unitary_channel,
 )
+from magicnoise.representations import subtheory_witness
 
 seeds = st.integers(0, 10_000)
 
@@ -275,6 +278,36 @@ class TestOmega:
         opset = standard_operational_set(strange, 0.3)
         with pytest.raises(ValueError):
             omega(0.4, gross3, opset, scope="state")
+
+
+def _per_item_witness(frame, opset) -> float:
+    """The subtheory witness one representation at a time."""
+    values = [penalty(represent_state(frame, rho)) for rho in opset.states]
+    values += [penalty(represent_effect(frame, e)) for e in opset.effects]
+    values += [penalty(represent_channel(frame, frame, ch)) for ch in opset.channels]
+    return max(values)
+
+
+class TestSubtheoryWitness:
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("kind", ["haar", "mub", "gross"])
+    def test_batched_equals_per_item_reference(self, d, p, kind):
+        dim = Dimension(d)
+        if kind == "mub":
+            frame = canonical_mub_frame(dim)
+        elif kind == "gross":
+            frame = gross_wigner_frame(dim)
+        else:
+            seed = 100 * d + int(10 * p)
+            a, b = random_unitary(dim, seed), random_unitary(dim, seed + 50)
+            frame = kd_frame(dim, a.entries, b.entries)
+        opset = standard_operational_set(random_state(dim, d), p)
+        want = _per_item_witness(frame, opset)
+        got = subtheory_witness(frame.analysis_stack(), frame.synthesis_stack(), opset)
+        # relative to the value, which reaches ~100 on Haar frames
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
+        assert omega(p, frame, opset, scope="subtheory") == got
 
 
 class TestMonotoneDecay:

@@ -35,7 +35,7 @@ from magicnoise import (
     subtheory_floor,
     wigner_threshold,
 )
-from magicnoise.thresholds import _stabilizer_projectors
+from magicnoise.thresholds import _stabilizer_projectors, _trace_points
 
 FAST = OptimizerConfig(restarts=4, max_iterations=150, seed=3)
 
@@ -108,6 +108,13 @@ class TestWignerThreshold:
         assert vals.shape == (9,)
         assert abs(vals.min() + 1.0 / 3.0) < 1e-12
         assert abs(vals.sum() - 1.0) < 1e-12
+
+
+def test_trace_points_match_np_unique():
+    grid = np.linspace(0.0, 1.0, 21)
+    ps = np.concatenate([grid, np.random.default_rng(5).random(2000), [1e-300]])
+    for p in ps:
+        assert np.array_equal(_trace_points(p), np.unique(np.append(grid, p)))
 
 
 class TestPolytopeMembership:
@@ -346,6 +353,12 @@ class TestKDThreshold:
         with pytest.raises(ValueError):
             kd_threshold(strange, scope="all")
 
+    @pytest.mark.parametrize("scope", ["state", "subtheory"])
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+    def test_rejects_non_positive_tol(self, strange, scope, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            kd_threshold(strange, scope=scope, tol=tol)
+
 
 def _expm_unitary(d: int, params: np.ndarray) -> np.ndarray:
     """exp(iH) by scipy's expm, H laid out as in unitary_from_params."""
@@ -487,6 +500,12 @@ class TestCritThreshold:
     def test_unknown_family_rejected(self, strange):
         with pytest.raises(ValueError):
             crit_threshold(strange, families=("gross", "fancy"))
+
+    @pytest.mark.parametrize("families", [("gross",), ("gross", "kd")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+    def test_rejects_non_positive_tol(self, strange, families, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            crit_threshold(strange, families=families, tol=tol)
 
     def test_empty_families_rejected(self, strange):
         with pytest.raises(ValueError):
