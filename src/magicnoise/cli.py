@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,26 +42,64 @@ from .thresholds import (
 )
 
 METHODS = ("wigner", "polytope", "kd", "crit")
-SCAN_FRAMES = ("gross", "kd-mub")
+FORMATS = ("json", "csv")
+SCOPES = ("state", "subtheory")
+BUILTIN_FRAMES = {"gross": gross_wigner_frame, "kd-mub": canonical_mub_frame}
+SCAN_FRAMES = tuple(BUILTIN_FRAMES)
 # Largest noise grid `scan` evaluates: a step of 1e-4 over [0, 1].
 MAX_SCAN_POINTS = 10_001
-CONFIG_KEYS = {
-    "schema",
-    "d",
-    "state",
-    "vec",
-    "method",
-    "scope",
-    "tol",
-    "class_tol",
-    "seed",
-    "restarts",
-    "format",
-    "families",
-    "scan_frames",
-    "start",
-    "stop",
-    "step",
+
+
+class Setting(NamedTuple):
+    """One setting of a subcommand: the flag --name (underscores as
+    dashes) beats the config-file key name, which beats default. A setting
+    without help is read from the config file only."""
+
+    name: str
+    kind: type
+    default: object
+    help: Optional[str]
+    choices: Optional[tuple] = None
+
+
+_D = Setting("d", int, 3, "odd prime dimension (3, 5, or 7)")
+_FORMAT = Setting("format", str, "json", "output format", FORMATS)
+STATE_SETTINGS = (
+    _D,
+    Setting("state", str, "strange", "magic state kind", MAGIC_STATE_KINDS),
+    Setting(
+        "vec", str, None, "comma-separated components for --state custom, e.g. '0,1,-1'"
+    ),
+)
+THRESHOLD_SETTINGS = (
+    _FORMAT,
+    Setting("method", str, "wigner", "threshold definition to use", METHODS),
+    Setting("scope", str, "state", "what the KD witness must classicalize", SCOPES),
+    Setting("tol", float, 1e-6, "Wigner grid step; recorded otherwise"),
+    Setting(
+        "class_tol",
+        float,
+        None,
+        "kd: witness value below which a frame counts as classical, in (0, nu_d)",
+    ),
+    Setting("seed", int, 0, "base seed for the frame search"),
+    Setting("restarts", int, 32, "frame-search restarts"),
+    Setting("families", list, FRAME_FAMILIES, None),
+)
+SCAN_SETTINGS = (
+    _FORMAT._replace(default="csv"),
+    Setting("start", float, 0.0, "grid start (default 0)"),
+    Setting("stop", float, 1.0, "grid stop (default 1)"),
+    Setting("step", float, 0.05, "grid step (default 0.05)"),
+    Setting("scan_frames", list, SCAN_FRAMES, None),
+)
+VALIDATE_SETTINGS = (
+    Setting("builtin", str, None, "validate a built-in frame", SCAN_FRAMES),
+    Setting("frame", str, None, "validate a frame loaded from a JSON file"),
+    _D._replace(help="dimension for --builtin (default 3)"),
+)
+CONFIG_KEYS = {"schema"} | {
+    s.name for s in STATE_SETTINGS + THRESHOLD_SETTINGS + SCAN_SETTINGS
 }
 
 
@@ -74,15 +112,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
+    data = _read_json(path, "config file")
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     if data.get("schema") != 1:
@@ -93,14 +135,33 @@ def _load_config(path: Optional[str]) -> dict:
     return data
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default):
-    """Command-line flag beats config-file entry beats default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config and config[key] is not None:
-        return config[key]
-    return default
+def _convert(setting: Setting, value):
+    """value as setting.kind, naming the setting if it cannot be. Numbers
+    refuse bools, and integers refuse the fractional and non-finite floats
+    that int() would truncate or fail on."""
+    kind = setting.kind
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if fractional or kind in (int, float) and isinstance(value, bool):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{setting.name} must be {what}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{setting.name}: {exc}") from exc
+
+
+def _resolve(args: argparse.Namespace, config: dict, settings) -> dict:
+    """The value of each setting: its flag, else its config-file entry
+    (null counts as absent), else its default."""
+    resolved = {}
+    for setting in settings:
+        value = getattr(args, setting.name, None)
+        if value is None:
+            value = config.get(setting.name)
+        if value is None:
+            value = setting.default
+        resolved[setting.name] = None if value is None else _convert(setting, value)
+    return resolved
 
 
 def _parse_vec(text: str) -> np.ndarray:
@@ -121,6 +182,11 @@ def _emit(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text)
 
 
+def _report(config: dict, result: dict) -> str:
+    doc = {"schema": 1, "version": __version__, "config": config, "result": result}
+    return dumps(doc)
+
+
 def _config_preamble(resolved: dict) -> list[str]:
     """Echo the tool version and the full effective config into CSV comments."""
     lines = [f"version={__version__}"]
@@ -129,73 +195,46 @@ def _config_preamble(resolved: dict) -> list[str]:
     return lines
 
 
-def _build_state(args: argparse.Namespace, config: dict):
-    d = int(_resolve(args, config, "d", 3))
-    kind = str(_resolve(args, config, "state", "strange"))
-    vec_text = _resolve(args, config, "vec", None)
-    if kind not in MAGIC_STATE_KINDS:
-        raise ValueError(f"unknown state kind {kind!r}")
-    dim = Dimension(d)
-    vec = _parse_vec(str(vec_text)) if vec_text is not None else None
-    rho = magic_state(kind, dim, custom_vec=vec)
-    spec = {"d": d, "state": kind, "vec": None if vec_text is None else str(vec_text)}
-    return dim, rho, spec
+def _build_state(cfg: dict):
+    if cfg["state"] not in MAGIC_STATE_KINDS:
+        raise ValueError(f"unknown state kind {cfg['state']!r}")
+    dim = Dimension(cfg["d"])
+    vec = None if cfg["vec"] is None else _parse_vec(cfg["vec"])
+    return dim, magic_state(cfg["state"], dim, custom_vec=vec)
+
+
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    dim, rho, state_spec = _build_state(args, config)
-    method = str(_resolve(args, config, "method", "wigner"))
+    cfg = _resolve(args, _load_config(args.config), STATE_SETTINGS + THRESHOLD_SETTINGS)
+    _, rho = _build_state(cfg)
+    method, scope, tol = cfg["method"], cfg["scope"], cfg["tol"]
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
-    scope = str(_resolve(args, config, "scope", "state"))
-    tol = float(_resolve(args, config, "tol", 1e-6))
-    class_tol = _resolve(args, config, "class_tol", None)
-    class_tol = None if class_tol is None else float(class_tol)
-    seed = int(_resolve(args, config, "seed", 0))
-    restarts = int(_resolve(args, config, "restarts", 32))
-    fmt = str(_resolve(args, config, "format", "json"))
-    families = tuple(config.get("families", FRAME_FAMILIES))
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown format {fmt!r}")
+    _check_format(cfg["format"])
 
-    opt = OptimizerConfig(restarts=restarts, seed=seed)
+    opt = OptimizerConfig(restarts=cfg["restarts"], seed=cfg["seed"])
     if method == "wigner":
         result = wigner_threshold(rho, scan_step=tol)
     elif method == "polytope":
         result = polytope_threshold(rho, tol=tol)
     elif method == "kd":
+        class_tol = cfg["class_tol"]
         result = kd_threshold(
             rho, config=opt, scope=scope, tol=tol, classification_tol=class_tol
         )
     else:
         result = crit_threshold(
-            rho, families=families, config=opt, scope=scope, tol=tol
+            rho, families=cfg["families"], config=opt, scope=scope, tol=tol
         )
 
-    resolved = dict(state_spec)
-    resolved.update(
-        {
-            "method": method,
-            "scope": scope,
-            "tol": tol,
-            "class_tol": class_tol,
-            "seed": seed,
-            "restarts": restarts,
-            "format": fmt,
-            "families": list(families),
-        }
-    )
-    if fmt == "json":
-        report = {
-            "schema": 1,
-            "version": __version__,
-            "config": resolved,
-            "result": result_to_dict(result),
-        }
-        text = dumps(report)
+    if cfg["format"] == "json":
+        text = _report(cfg, result_to_dict(result))
     else:
-        preamble = _config_preamble(resolved) + [
+        preamble = _config_preamble(cfg) + [
             f"kind={result.kind}",
             f"p={result.p!r}",
             f"upper_bound={result.upper_bound}",
@@ -206,15 +245,11 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    dim, rho, state_spec = _build_state(args, config)
-    start = float(_resolve(args, config, "start", 0.0))
-    stop = float(_resolve(args, config, "stop", 1.0))
-    step = float(_resolve(args, config, "step", 0.05))
-    fmt = str(_resolve(args, config, "format", "csv"))
-    frames = tuple(config.get("scan_frames", SCAN_FRAMES))
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown format {fmt!r}")
+    cfg = _resolve(args, _load_config(args.config), STATE_SETTINGS + SCAN_SETTINGS)
+    dim, rho = _build_state(cfg)
+    start, stop, step = cfg["start"], cfg["stop"], cfg["step"]
+    frames = cfg["scan_frames"]
+    _check_format(cfg["format"])
     if not (0.0 <= start < stop <= 1.0):
         raise ValueError("need 0 <= start < stop <= 1")
     if step <= 0:
@@ -223,10 +258,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if unknown:
         raise ValueError(f"unknown scan frames: {sorted(unknown)}")
 
-    built = {
-        "gross": gross_wigner_frame(dim),
-        "kd-mub": canonical_mub_frame(dim),
-    }
+    built = {name: BUILTIN_FRAMES[name](dim) for name in frames}
     intervals = np.floor((stop - start) / step + 1e-9)
     if not intervals < MAX_SCAN_POINTS:
         raise ValueError(
@@ -240,88 +272,52 @@ def cmd_scan(args: argparse.Namespace) -> int:
     for p in grid:
         rho_p = depolarize(rho, p)
         for name in frames:
-            flat = represent_state(built[name], rho_p).flat()
+            dist = represent_state(built[name], rho_p)
+            flat = dist.flat()
             rows.append(
                 (
                     float(p),
                     name,
-                    float(np.abs(flat.imag).sum())
-                    + float(np.abs(np.minimum(0.0, flat.real)).sum()),
+                    penalty(dist),
                     float(flat.real.min()),
                     float(np.abs(flat.imag).max()),
                 )
             )
 
-    resolved = dict(state_spec)
-    resolved.update(
-        {
-            "start": start,
-            "stop": stop,
-            "step": step,
-            "format": fmt,
-            "scan_frames": list(frames),
-        }
-    )
-    if fmt == "json":
-        report = {
-            "schema": 1,
-            "version": __version__,
-            "config": resolved,
-            "result": {
-                "rows": [
-                    {
-                        "p": p,
-                        "frame": name,
-                        "witness": wit,
-                        "min_real": mre,
-                        "max_abs_imag": mim,
-                    }
-                    for p, name, wit, mre, mim in rows
-                ]
-            },
-        }
-        text = dumps(report)
+    if cfg["format"] == "json":
+        keys = ("p", "frame", "witness", "min_real", "max_abs_imag")
+        text = _report(cfg, {"rows": [dict(zip(keys, row)) for row in rows]})
     else:
-        text = scan_csv(rows, preamble=_config_preamble(resolved))
+        text = scan_csv(rows, preamble=_config_preamble(cfg))
     _emit(text, args.out)
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if (args.builtin is None) == (args.frame is None):
+    cfg = _resolve(args, {}, VALIDATE_SETTINGS)
+    if (cfg["builtin"] is None) == (cfg["frame"] is None):
         raise ValueError("pass exactly one of --builtin or --frame")
-    if args.builtin is not None:
-        dim = Dimension(int(args.d if args.d is not None else 3))
-        if args.builtin == "gross":
-            frame = gross_wigner_frame(dim)
-        elif args.builtin == "kd-mub":
-            frame = canonical_mub_frame(dim)
-        else:
-            raise ValueError(f"unknown builtin frame {args.builtin!r}")
-        source = {"builtin": args.builtin, "d": dim.d}
+    if cfg["builtin"] is not None:
+        frame = BUILTIN_FRAMES[cfg["builtin"]](Dimension(cfg["d"]))
     else:
-        try:
-            data = json.loads(Path(args.frame).read_text())
-        except OSError as exc:
-            raise ValueError(f"cannot read frame file {args.frame}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"frame file {args.frame} is not valid JSON: {exc}"
-            ) from exc
-        frame = frame_from_dict(data)
-        source = {"builtin": None, "d": frame.dim.d}
+        frame = frame_from_dict(_read_json(cfg["frame"], "frame file"))
     report = validate_frame(frame)
-    doc = {
-        "schema": 1,
-        "version": __version__,
-        "config": source,
-        "result": {
-            "passed": report.passed,
-            "report": validation_report_to_dict(report),
-        },
-    }
-    _emit(dumps(doc), args.out)
+    source = {"builtin": cfg["builtin"], "d": frame.dim.d}
+    result = {"passed": report.passed, "report": validation_report_to_dict(report)}
+    _emit(_report(source, result), args.out)
     return 0 if report.passed else 3
+
+
+def _add_flags(parser: argparse.ArgumentParser, settings) -> None:
+    for s in settings:
+        if s.help is not None:
+            parser.add_argument(
+                "--" + s.name.replace("_", "-"),
+                dest=s.name,
+                type=s.kind,
+                choices=s.choices,
+                help=s.help,
+            )
 
 
 def build_parser() -> _Parser:
@@ -332,50 +328,19 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_state_flags(p):
-        p.add_argument("--d", type=int, help="odd prime dimension (3, 5, or 7)")
-        p.add_argument("--state", choices=MAGIC_STATE_KINDS, help="magic state kind")
-        p.add_argument(
-            "--vec",
-            help="comma-separated components for --state custom, e.g. '0,1,-1'",
-        )
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), help="output format")
-
-    th = sub.add_parser("threshold", help="compute one noise threshold")
-    add_state_flags(th)
-    th.add_argument("--method", choices=METHODS, help="threshold definition to use")
-    th.add_argument(
-        "--scope",
-        choices=("state", "subtheory"),
-        help="what the KD witness must classicalize",
-    )
-    th.add_argument("--tol", type=float, help="Wigner grid step; recorded otherwise")
-    th.add_argument(
-        "--class-tol",
-        dest="class_tol",
-        type=float,
-        help="kd: witness value below which a frame counts as classical, "
-        "in (0, nu_d)",
-    )
-    th.add_argument("--seed", type=int, help="base seed for the frame search")
-    th.add_argument("--restarts", type=int, help="frame-search restarts")
-    th.set_defaults(func=cmd_threshold)
-
-    sc = sub.add_parser("scan", help="witness values over a noise grid")
-    add_state_flags(sc)
-    sc.add_argument("--start", type=float, help="grid start (default 0)")
-    sc.add_argument("--stop", type=float, help="grid stop (default 1)")
-    sc.add_argument("--step", type=float, help="grid step (default 0.05)")
-    sc.set_defaults(func=cmd_scan)
+    for name, help_text, settings, func in (
+        ("threshold", "compute one noise threshold", THRESHOLD_SETTINGS, cmd_threshold),
+        ("scan", "witness values over a noise grid", SCAN_SETTINGS, cmd_scan),
+    ):
+        cmd = sub.add_parser(name, help=help_text)
+        _add_flags(cmd, STATE_SETTINGS)
+        cmd.add_argument("--config", help="JSON config file; flags override it")
+        cmd.add_argument("--out", help="write output to this file instead of stdout")
+        _add_flags(cmd, settings)
+        cmd.set_defaults(func=func)
 
     va = sub.add_parser("validate", help="check frame axioms")
-    va.add_argument(
-        "--builtin", choices=SCAN_FRAMES, help="validate a built-in frame"
-    )
-    va.add_argument("--frame", help="validate a frame loaded from a JSON file")
-    va.add_argument("--d", type=int, help="dimension for --builtin (default 3)")
+    _add_flags(va, VALIDATE_SETTINGS)
     va.add_argument("--out", help="write the report to this file")
     va.set_defaults(func=cmd_validate)
 

@@ -18,7 +18,6 @@ from .qudit import (
     DEFAULT_TOLERANCES,
     Dimension,
     Operator,
-    Tolerances,
     WeylIndex,
     computational_basis,
     fourier_basis,
@@ -68,7 +67,6 @@ def kd_frame(
     basis_a: np.ndarray,
     basis_b: np.ndarray,
     descriptor: Optional[dict] = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ExactFrame:
     """Kirkwood-Dirac frame from two orthonormal bases (given as columns).
 
@@ -83,7 +81,7 @@ def kd_frame(
     for name, mat in (("A", a), ("B", b)):
         if mat.shape != (d, d):
             raise ValueError(f"basis {name} must be a {d}x{d} column matrix")
-        if np.abs(mat.conj().T @ mat - np.eye(d)).max() > tol.validation:
+        if np.abs(mat.conj().T @ mat - np.eye(d)).max() > DEFAULT_TOLERANCES.validation:
             raise ValueError(f"basis {name} is not orthonormal")
     overlaps = b.conj().T @ a  # overlaps[j, i] = <b_j | a_i>
     small = np.abs(overlaps) <= OVERLAP_FLOOR
@@ -210,9 +208,7 @@ class FrameValidationReport:
         }
 
 
-def validate_frame(
-    frame: ExactFrame, tol: Tolerances = DEFAULT_TOLERANCES
-) -> FrameValidationReport:
+def validate_frame(frame: ExactFrame) -> FrameValidationReport:
     """Evaluate all five frame axioms and report maximum residuals.
 
     Checks: sample-space size d^2, biorthogonality, sum of analysis
@@ -248,5 +244,5 @@ def validate_frame(
         normalization=float(norm_res),
         synthesis_trace=float(trace_res),
         reconstruction=float(recon_res),
-        tolerance=tol.validation,
+        tolerance=DEFAULT_TOLERANCES.validation,
     )

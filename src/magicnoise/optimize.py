@@ -23,6 +23,12 @@ class NoThresholdError(RuntimeError):
     """Raised when no noise level in [0, 1] makes the state classical."""
 
 
+# Offset of the initial downhill simplex along each parameter, and the
+# spread of vertex values at which a run stops.
+SIMPLEX_SCALE = 0.3
+SPREAD_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Settings for the multi-restart frame search.
@@ -34,17 +40,13 @@ class OptimizerConfig:
 
     restarts: int = 32
     max_iterations: int = 400
-    tol: float = 1e-10
     seed: int = 0
-    simplex_scale: float = 0.3
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("need at least one restart")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.tol <= 0 or self.simplex_scale <= 0:
-            raise ValueError("tolerance and simplex scale must be positive")
         if not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
 
@@ -292,13 +294,9 @@ def minimize_omega(
             x0 = starts[restart]
         else:
             rng = np.random.default_rng(restart_seed(config.seed, restart))
-            x0 = rng.normal(0.0, config.simplex_scale, size=2 * d2)
+            x0 = rng.normal(0.0, SIMPLEX_SCALE, size=2 * d2)
         x, fx = nelder_mead(
-            objective,
-            x0,
-            config.simplex_scale,
-            config.max_iterations,
-            config.tol,
+            objective, x0, SIMPLEX_SCALE, config.max_iterations, SPREAD_TOL
         )
         return fx, restart, x
 

@@ -3,7 +3,7 @@ magic states, and the depolarizing channel map for odd prime dimensions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,7 +78,6 @@ class Operator:
     dim: Dimension
     entries: np.ndarray
     role: str = "generic"
-    tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=complex)
@@ -94,7 +93,7 @@ class Operator:
 
     def _check_role(self):
         a = self.entries
-        ct, vt = self.tol.construction, self.tol.validation
+        ct, vt = DEFAULT_TOLERANCES.construction, DEFAULT_TOLERANCES.validation
         if self.role in ("state", "effect"):
             if np.abs(a - a.conj().T).max() > ct:
                 raise ValueError(f"{self.role} operator must be Hermitian")
@@ -298,7 +297,7 @@ def magic_state(
 
     strange: (|1> - |2>) / sqrt(2), qutrit only.
     norrell: (-|0> + 2|1> - |2>) / sqrt(6), qutrit only.
-    custom:  normalized projector onto the supplied vector.
+    custom:  normalized projector onto the supplied finite, nonzero vector.
     """
     if kind not in MAGIC_STATE_KINDS:
         raise ValueError(f"unknown magic state kind {kind!r}")
@@ -308,7 +307,10 @@ def magic_state(
         v = np.asarray(custom_vec, dtype=complex).reshape(-1)
         if v.shape != (dim.d,):
             raise ValueError(f"custom vector must have length {dim.d}")
-        norm = np.linalg.norm(v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.linalg.norm(v)
+        if not np.isfinite(norm):
+            raise ValueError("custom vector must have finite components and norm")
         if norm < 1e-12:
             raise ValueError("custom vector must be nonzero")
         v = v / norm

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .qudit import (
     Dimension,
     DimensionMismatchError,
     Operator,
-    Tolerances,
     WeylIndex,
     clifford_generators,
     depolarize,

@@ -33,7 +33,6 @@ from .optimize import (
 from .qudit import (
     DEFAULT_TOLERANCES,
     Dimension,
-    DimensionMismatchError,
     Operator,
     depolarize,  # noqa: F401  (callers reach it as thresholds.depolarize)
     stabilizer_states,
@@ -47,6 +46,8 @@ LP_ACCURACY = 1e-9
 ROUND_OFF = 1e-12
 # Wigner values down to -GRID_FLOOR count as non-negative in the grid check.
 GRID_FLOOR = 1e-12
+# How far the KD threshold may exceed the Wigner one before POTENTIAL_GAP.
+GAP_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -142,11 +143,7 @@ def _grid_check(w: np.ndarray, d2: int, p_star: float, scan_step: float) -> floa
     return p_grid
 
 
-def wigner_threshold(
-    rho_m: Operator,
-    dim: Optional[Dimension] = None,
-    scan_step: float = 1e-6,
-) -> ThresholdResult:
+def wigner_threshold(rho_m: Operator, scan_step: float = 1e-6) -> ThresholdResult:
     """Noise level where the depolarized state's Wigner distribution turns
     non-negative.
 
@@ -155,8 +152,6 @@ def wigner_threshold(
     (zero when w_min >= 0). The closed form is cross-checked against the
     first non-negative point of the grid of step scan_step (_grid_check).
     """
-    if dim is not None and dim != rho_m.dim:
-        raise DimensionMismatchError("state dimension does not match dim")
     dim = rho_m.dim
     d2 = dim.d ** 2
     w = gross_representation_values(rho_m)
@@ -308,9 +303,7 @@ def stabilizer_polytope_membership(rho: Operator) -> Optional[PolytopeCertificat
     return cert if p == 0.0 else None
 
 
-def polytope_threshold(
-    rho_m: Operator, tol: float = 1e-6, dim: Optional[Dimension] = None
-) -> ThresholdResult:
+def polytope_threshold(rho_m: Operator, tol: float = 1e-6) -> ThresholdResult:
     """Smallest noise level putting the depolarized state inside the
     stabilizer polytope: one exact LP with a certificate on both sides
     (see PolytopeCertificate).
@@ -322,8 +315,6 @@ def polytope_threshold(
     noise the LP optimum still asks for at each trace point q,
     max(0, (p* - q) / (1 - q)), which is zero exactly from p* on.
     """
-    if dim is not None and dim != rho_m.dim:
-        raise DimensionMismatchError("state dimension does not match dim")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     p_star, cert = _polytope_lp(rho_m)
@@ -382,8 +373,6 @@ def kd_threshold(
     scope: str = "state",
     tol: float = 1e-6,
     classification_tol: Optional[float] = None,
-    gap_tolerance: float = 1e-4,
-    dim: Optional[Dimension] = None,
 ) -> ThresholdResult:
     """Noise level where some Kirkwood-Dirac frame represents the probed
     operations classically.
@@ -395,7 +384,7 @@ def kd_threshold(
     classification_tol); config is not used. The certificate stores the
     frame's parameters so the claim can be re-verified by decoding and
     re-evaluating. The result also reports how p compares with the Wigner
-    threshold: either the expected ordering holds within gap_tolerance or
+    threshold: either the expected ordering holds within GAP_TOLERANCE or
     a POTENTIAL_GAP diagnostic is emitted (never both).
 
     scope "subtheory" has no threshold: every frame keeps the witness at
@@ -405,8 +394,6 @@ def kd_threshold(
     classification_tol outside (0, subtheory_floor(d)), or below the
     certificate's round-off, raises ValueError.
     """
-    if dim is not None and dim != rho_m.dim:
-        raise DimensionMismatchError("state dimension does not match dim")
     if scope not in ("state", "subtheory"):
         raise ValueError("scope must be 'state' or 'subtheory'")
     if not tol > 0:
@@ -451,7 +438,7 @@ def kd_threshold(
         )
     wres = wigner_threshold(rho_m)
 
-    ordering_ok = p_hat <= wres.p + gap_tolerance
+    ordering_ok = p_hat <= wres.p + GAP_TOLERANCE
     diagnostics = [] if ordering_ok else ["POTENTIAL_GAP"]
     certificate = {
         "frame": {"kind": "parametrized"},
@@ -465,7 +452,7 @@ def kd_threshold(
         "scope": scope,
         "classification_tol": classification_tol,
         "p_wigner": wres.p,
-        "gap_tolerance": gap_tolerance,
+        "gap_tolerance": GAP_TOLERANCE,
         "ordering_satisfied": ordering_ok,
         "diagnostics": diagnostics,
     }
@@ -475,7 +462,6 @@ def kd_threshold(
 
 
 FRAME_FAMILIES = ("gross", "kd")
-_FAMILY_ALIASES = {"kd-parametrized": "kd"}
 
 
 def crit_threshold(
@@ -484,7 +470,6 @@ def crit_threshold(
     config: Optional[OptimizerConfig] = None,
     scope: str = "state",
     tol: float = 1e-6,
-    dim: Optional[Dimension] = None,
 ) -> ThresholdResult:
     """Minimum threshold over the frame families: "gross" is the Wigner
     threshold, "kd" is kd_threshold in the given scope.
@@ -495,13 +480,9 @@ def crit_threshold(
     winning family's own. If every family is skipped, NoThresholdError
     propagates.
     """
-    if dim is not None and dim != rho_m.dim:
-        raise DimensionMismatchError("state dimension does not match dim")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    chosen = tuple(
-        dict.fromkeys(_FAMILY_ALIASES.get(f, f) for f in families)
-    )
+    chosen = tuple(dict.fromkeys(families))
     if not chosen:
         raise ValueError("need at least one frame family")
     unknown = set(chosen) - set(FRAME_FAMILIES)

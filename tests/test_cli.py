@@ -159,6 +159,15 @@ class TestThresholdCommand:
             assert short.returncode == 0, short.stderr
             assert short.stdout == joined.stdout
 
+    @pytest.mark.parametrize("vec", ["1,nan,0", "1,1e308,1e308"])
+    def test_non_finite_vec_exits_1_without_warnings(self, vec):
+        proc = run_cli("threshold", "--state", "custom", f"--vec={vec}")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "magicnoise: error: custom vector must have finite components and norm\n"
+        )
+
     def test_vec_without_value_is_invalid(self):
         proc = run_cli("threshold", "--state", "custom", "--vec", "--format", "csv")
         assert proc.returncode == 1
@@ -221,6 +230,37 @@ class TestConfigFile:
         cfg.write_text("{not json")
         proc = run_cli("threshold", "--config", str(cfg))
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("d", 5.9),
+            ("d", True),
+            ("seed", 1.5),
+            ("seed", False),
+            ("restarts", 2.5),
+            ("restarts", True),
+        ],
+    )
+    def test_integer_keys_reject_fractions_and_bools(self, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        doc = {"schema": 1, "state": "custom", "vec": "1,0,0,0,1", "d": 5, key: value}
+        cfg.write_text(json.dumps(doc))
+        proc = run_cli("threshold", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"magicnoise: error: {key} must be an integer, got {value!r}\n"
+        )
+
+    def test_integral_numbers_are_integers(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        doc = {"schema": 1, "state": "custom", "vec": "1,0,0,0,1", "d": 5.0, "seed": 2.0}
+        cfg.write_text(json.dumps(doc))
+        proc = run_cli("threshold", "--config", str(cfg), "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.split("\n")
+        assert "# d=5" in lines and "# seed=2" in lines
 
     def test_families_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -252,6 +254,15 @@ class TestMagicStates:
     def test_custom_rejects_zero_vector(self, d3):
         with pytest.raises(ValueError):
             magic_state("custom", d3, custom_vec=[0, 0, 0])
+
+    @pytest.mark.parametrize(
+        "vec", [[1, np.nan, 0], [1, 0, np.inf], [1, 1j * np.nan, 0], [1, 1e308, 1e308]]
+    )
+    def test_custom_rejects_non_finite_vector_and_norm(self, d3, vec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite components and norm"):
+                magic_state("custom", d3, custom_vec=vec)
 
     def test_named_kind_rejects_vector(self, d3):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from scipy.optimize import linprog
 
 from magicnoise import (
     Dimension,
-    DimensionMismatchError,
     NoThresholdError,
     Operator,
     OptimizerConfig,
@@ -98,10 +97,6 @@ class TestWignerThreshold:
         witness = np.abs(np.minimum(0.0, rebuilt)).sum()
         assert abs(witness - res.certificate["witness"]) < 1e-9
         assert res.certificate["witness"] <= 1e-9
-
-    def test_dimension_mismatch(self, strange):
-        with pytest.raises(DimensionMismatchError):
-            wigner_threshold(strange, dim=Dimension(5))
 
     def test_representation_values_helper(self, strange):
         vals = gross_representation_values(strange)
@@ -490,12 +485,6 @@ class TestCritThreshold:
         assert res.p == wigner_threshold(strange).p
         assert res.certificate["family"] == "gross"
         assert res.seed is None
-
-    def test_family_alias(self, strange):
-        res = crit_threshold(
-            strange, families=("kd-parametrized",), config=FAST, tol=1e-2
-        )
-        assert res.certificate["family"] == "kd"
 
     def test_unknown_family_rejected(self, strange):
         with pytest.raises(ValueError):
