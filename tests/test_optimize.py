@@ -41,6 +41,9 @@ class TestOptimizerConfig:
         [
             {"restarts": 0},
             {"max_iterations": 0},
+            {"restarts": -1},
+            {"max_iterations": -1},
+            {"seed": "3"},
             {"seed": 1.5},
         ],
     )
