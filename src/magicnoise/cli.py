@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -165,11 +166,14 @@ def _resolve(args: argparse.Namespace, config: dict, settings) -> dict:
 
 
 def _parse_vec(text: str) -> np.ndarray:
+    """Comma-separated complex components; a trailing i is the imaginary
+    unit (0.5i, 1+2i), so inf, infinity and nan reach magic_state's
+    finiteness check."""
     parts = [tok.strip() for tok in text.split(",")]
     if any(not tok for tok in parts):
         raise ValueError(f"empty component in vector {text!r}")
     try:
-        vals = [complex(tok.replace("i", "j")) for tok in parts]
+        vals = [complex(tok[:-1] + "j" if tok.endswith("i") else tok) for tok in parts]
     except ValueError as exc:
         raise ValueError(f"cannot parse vector {text!r}: {exc}") from exc
     return np.array(vals, dtype=complex)
@@ -215,6 +219,11 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
     _check_format(cfg["format"])
+    if scope not in SCOPES:
+        raise ValueError(f"unknown scope {scope!r}; pick one of {SCOPES}")
+    unknown = set(cfg["families"]) - set(FRAME_FAMILIES)
+    if unknown:
+        raise ValueError(f"unknown frame families: {sorted(unknown)}")
 
     opt = OptimizerConfig(restarts=cfg["restarts"], seed=cfg["seed"])
     if method == "wigner":
@@ -254,6 +263,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError("need 0 <= start < stop <= 1")
     if step <= 0:
         raise ValueError("step must be positive")
+    if not math.isfinite(step):
+        raise ValueError(f"step must be finite, got {step!r}")
     unknown = set(frames) - set(SCAN_FRAMES)
     if unknown:
         raise ValueError(f"unknown scan frames: {sorted(unknown)}")

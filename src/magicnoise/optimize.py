@@ -66,7 +66,12 @@ class FrameSearchPoint:
 
 @lru_cache(maxsize=None)
 def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(d, 1)
+    """The strict upper triangle's (rows, cols) for d x d, cached per d and
+    read-only, since every caller shares them."""
+    upper = np.triu_indices(d, 1)
+    for index in upper:
+        index.setflags(write=False)
+    return upper
 
 
 def _hermitian_from_params(d: int, params: np.ndarray) -> np.ndarray:

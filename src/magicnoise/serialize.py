@@ -40,7 +40,9 @@ def jsonable(value):
 
 
 def dumps(obj) -> str:
-    return json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
+    """Sorted, indented JSON; a non-finite float raises ValueError rather
+    than becoming the non-JSON tokens Infinity or NaN."""
+    return json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def operator_to_dict(op: Operator) -> dict:

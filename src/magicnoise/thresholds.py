@@ -27,6 +27,7 @@ from .optimize import (
     NoThresholdError,
     OptimizerConfig,
     _eigenbasis_frame_params,
+    _upper,
     decode_frame,
     minimize_omega,
 )
@@ -93,12 +94,38 @@ def _negative_part(values: np.ndarray) -> float:
     return float(np.abs(np.minimum(0.0, values)).sum())
 
 
+# The noise levels 0, 0.05, ..., 1 that every trace samples.
+_TRACE_GRID = np.linspace(0.0, 1.0, 21)
+_TRACE_GRID.setflags(write=False)
+
+
 def _trace_points(p_star: float) -> np.ndarray:
     """The 21 noise levels 0, 0.05, ..., 1 with the threshold merged in
     (not by np.unique, whose first call imports numpy.ma)."""
-    grid = np.linspace(0.0, 1.0, 21)
+    grid = _TRACE_GRID
     k = int(np.searchsorted(grid, p_star))
-    return grid if k < grid.size and grid[k] == p_star else np.insert(grid, k, p_star)
+    if k < grid.size and grid[k] == p_star:
+        return grid
+    return np.concatenate((grid[:k], [p_star], grid[k:]))
+
+
+def _wigner_scan(w: np.ndarray, d2: int, p_star: float) -> tuple:
+    """(p, negative part of (1-p) w + p/d^2) at each trace point, all
+    points in one array pass."""
+    points = _trace_points(p_star)
+    p = points[:, None]
+    negative = np.abs(np.minimum(0.0, (1.0 - p) * w + p / d2)).sum(axis=1)
+    return tuple(zip(points.tolist(), negative.tolist()))
+
+
+def _polytope_scan(p_star: float) -> tuple:
+    """(q, max(0, (p* - q) / (1 - q))) at each trace point q, 0 at q = 1:
+    the noise the polytope LP optimum still asks for after q."""
+    q = _trace_points(p_star)
+    below = q < 1.0
+    need = np.zeros(q.size)
+    need[below] = np.maximum(0.0, (p_star - q[below]) / (1.0 - q[below]))
+    return tuple(zip(q.tolist(), need.tolist()))
 
 
 def _grid_check(w: np.ndarray, d2: int, p_star: float, scan_step: float) -> float:
@@ -143,6 +170,25 @@ def _grid_check(w: np.ndarray, d2: int, p_star: float, scan_step: float) -> floa
     return p_grid
 
 
+def _wigner_closed_form(
+    rho_m: Operator, scan_step: float = 1e-6
+) -> tuple[float, np.ndarray, float]:
+    """(p*, w, p_grid): the Wigner threshold p* of rho_m in closed form,
+    the Wigner values w it comes from, and the first passing point of the
+    grid check that confirms it. All that wigner_threshold computes beyond
+    this is the report; the other thresholds record p* from here.
+    """
+    d2 = rho_m.dim.d ** 2
+    w = gross_representation_values(rho_m)
+    w_min = float(w.min())
+    if w_min >= -DEFAULT_TOLERANCES.construction:
+        # round-off-scale negativity counts as non-negative
+        p_star = 0.0
+    else:
+        p_star = d2 * abs(w_min) / (1.0 + d2 * abs(w_min))
+    return p_star, w, _grid_check(w, d2, p_star, scan_step)
+
+
 def wigner_threshold(rho_m: Operator, scan_step: float = 1e-6) -> ThresholdResult:
     """Noise level where the depolarized state's Wigner distribution turns
     non-negative.
@@ -154,24 +200,12 @@ def wigner_threshold(rho_m: Operator, scan_step: float = 1e-6) -> ThresholdResul
     """
     dim = rho_m.dim
     d2 = dim.d ** 2
-    w = gross_representation_values(rho_m)
-    w_min = float(w.min())
-    if w_min >= -DEFAULT_TOLERANCES.construction:
-        # round-off-scale negativity counts as non-negative
-        p_star = 0.0
-    else:
-        p_star = d2 * abs(w_min) / (1.0 + d2 * abs(w_min))
-
-    p_grid = _grid_check(w, d2, p_star, scan_step)
-    scan = tuple(
-        (float(p), _negative_part((1.0 - p) * w + p / d2))
-        for p in _trace_points(p_star)
-    )
+    p_star, w, p_grid = _wigner_closed_form(rho_m, scan_step)
     rep_at_threshold = (1.0 - p_star) * w + p_star / d2
     labels = [(k // dim.d, k % dim.d) for k in range(d2)]
     certificate = {
         "frame": {"kind": "gross"},
-        "w_min": w_min,
+        "w_min": float(w.min()),
         "witness": _negative_part(rep_at_threshold),
         "representation_re": rep_at_threshold.tolist(),
         "negative_points": [
@@ -180,6 +214,7 @@ def wigner_threshold(rho_m: Operator, scan_step: float = 1e-6) -> ThresholdResul
         ],
         "grid_check": p_grid,
     }
+    scan = _wigner_scan(w, d2, p_star)
     return ThresholdResult("wigner", p_star, False, certificate, scan, scan_step, None)
 
 
@@ -224,7 +259,7 @@ def _stabilizer_projectors(d: int) -> np.ndarray:
 def _coordinates(h: np.ndarray) -> np.ndarray:
     """The d^2 real coordinates of Hermitian matrices (..., d, d): the
     diagonal, then Re and Im of the strict upper triangle (row-major)."""
-    rows, cols = np.triu_indices(h.shape[-1], 1)
+    rows, cols = _upper(h.shape[-1])
     upper = h[..., rows, cols]
     diag = np.diagonal(h, axis1=-2, axis2=-1).real
     return np.concatenate([diag, upper.real, upper.imag], axis=-1)
@@ -232,7 +267,7 @@ def _coordinates(h: np.ndarray) -> np.ndarray:
 
 def _hermitian(y: np.ndarray, d: int) -> np.ndarray:
     """The W with y . _coordinates(H) == Tr(W H) for every Hermitian H."""
-    rows, cols = np.triu_indices(d, 1)
+    rows, cols = _upper(d)
     k = rows.size
     w = np.diag(y[:d]).astype(complex)
     w[rows, cols] = (y[d : d + k] + 1j * y[d + k :]) / 2.0
@@ -303,6 +338,13 @@ def stabilizer_polytope_membership(rho: Operator) -> Optional[PolytopeCertificat
     return cert if p == 0.0 else None
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol!r}")
+
+
 def polytope_threshold(rho_m: Operator, tol: float = 1e-6) -> ThresholdResult:
     """Smallest noise level putting the depolarized state inside the
     stabilizer polytope: one exact LP with a certificate on both sides
@@ -315,24 +357,21 @@ def polytope_threshold(rho_m: Operator, tol: float = 1e-6) -> ThresholdResult:
     noise the LP optimum still asks for at each trace point q,
     max(0, (p* - q) / (1 - q)), which is zero exactly from p* on.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     p_star, cert = _polytope_lp(rho_m)
-    wres = wigner_threshold(rho_m)
-    coincide = abs(p_star - wres.p) <= LP_ACCURACY
+    p_wigner = _wigner_closed_form(rho_m)[0]
+    coincide = abs(p_star - p_wigner) <= LP_ACCURACY
     certificate = cert.to_dict()
     certificate.update(
         {
             "noise": p_star,
-            "p_wigner": wres.p,
+            "p_wigner": p_wigner,
             "coincidence_with_wigner": "CONFIRMED" if coincide else "REFUTED",
         }
     )
-    scan = tuple(
-        (float(q), float(max(0.0, (p_star - q) / (1.0 - q))) if q < 1.0 else 0.0)
-        for q in _trace_points(p_star)
+    return ThresholdResult(
+        "polytope", p_star, False, certificate, _polytope_scan(p_star), tol, None
     )
-    return ThresholdResult("polytope", p_star, False, certificate, scan, tol, None)
 
 
 def _packed(values: np.ndarray) -> array:
@@ -396,8 +435,7 @@ def kd_threshold(
     """
     if scope not in ("state", "subtheory"):
         raise ValueError("scope must be 'state' or 'subtheory'")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     if classification_tol is None:
         classification_tol = DEFAULT_TOLERANCES.classification
     dim = rho_m.dim
@@ -436,9 +474,9 @@ def kd_threshold(
             f"classification_tol {classification_tol!r} is below the round-off "
             f"witness {objective:.3e} of the exact eigenbasis certificate"
         )
-    wres = wigner_threshold(rho_m)
+    p_wigner = _wigner_closed_form(rho_m)[0]
 
-    ordering_ok = p_hat <= wres.p + GAP_TOLERANCE
+    ordering_ok = p_hat <= p_wigner + GAP_TOLERANCE
     diagnostics = [] if ordering_ok else ["POTENTIAL_GAP"]
     certificate = {
         "frame": {"kind": "parametrized"},
@@ -451,7 +489,7 @@ def kd_threshold(
         },
         "scope": scope,
         "classification_tol": classification_tol,
-        "p_wigner": wres.p,
+        "p_wigner": p_wigner,
         "gap_tolerance": GAP_TOLERANCE,
         "ordering_satisfied": ordering_ok,
         "diagnostics": diagnostics,
@@ -480,8 +518,7 @@ def crit_threshold(
     winning family's own. If every family is skipped, NoThresholdError
     propagates.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     chosen = tuple(dict.fromkeys(families))
     if not chosen:
         raise ValueError("need at least one frame family")
@@ -490,15 +527,14 @@ def crit_threshold(
         raise ValueError(f"unknown frame families: {sorted(unknown)}")
 
     per_family: dict[str, Optional[float]] = {}
-    results: dict[str, ThresholdResult] = {}
+    kd_result = None
     for fam in chosen:
+        if fam == "gross":
+            per_family[fam] = _wigner_closed_form(rho_m)[0]
+            continue
         try:
-            if fam == "gross":
-                res = wigner_threshold(rho_m)
-            else:
-                res = kd_threshold(rho_m, config=config, scope=scope, tol=tol)
-            results[fam] = res
-            per_family[fam] = res.p
+            kd_result = kd_threshold(rho_m, config=config, scope=scope, tol=tol)
+            per_family[fam] = kd_result.p
         except NoThresholdError:
             per_family[fam] = None
 
@@ -508,7 +544,7 @@ def crit_threshold(
     if not viable:
         raise NoThresholdError("no searched frame family admits a threshold")
     p_best, fam_best = viable[0]
-    winner = results[fam_best]
+    winner = wigner_threshold(rho_m) if fam_best == "gross" else kd_result
     certificate = {
         "family": fam_best,
         "per_family": per_family,

@@ -159,7 +159,7 @@ class TestThresholdCommand:
             assert short.returncode == 0, short.stderr
             assert short.stdout == joined.stdout
 
-    @pytest.mark.parametrize("vec", ["1,nan,0", "1,1e308,1e308"])
+    @pytest.mark.parametrize("vec", ["1,nan,0", "1,1e308,1e308", "1,inf,0", "1,-inf,0"])
     def test_non_finite_vec_exits_1_without_warnings(self, vec):
         proc = run_cli("threshold", "--state", "custom", f"--vec={vec}")
         assert proc.returncode == 1
@@ -167,6 +167,19 @@ class TestThresholdCommand:
         assert proc.stderr == (
             "magicnoise: error: custom vector must have finite components and norm\n"
         )
+
+    def test_vec_takes_a_trailing_i_as_the_imaginary_unit(self):
+        with_i = run_cli("threshold", "--state", "custom", "--vec", "1+2i,0,0")
+        with_j = run_cli("threshold", "--state", "custom", "--vec", "1+2j,0,0")
+        assert with_i.returncode == 0, with_i.stderr
+        assert json.loads(with_i.stdout)["result"] == json.loads(with_j.stdout)["result"]
+
+    @pytest.mark.parametrize("method", ["polytope", "kd", "crit"])
+    def test_non_finite_tol_exits_1(self, method):
+        proc = run_cli("threshold", "--method", method, "--tol", "inf")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "magicnoise: error: tolerance must be finite, got inf\n"
 
     def test_vec_without_value_is_invalid(self):
         proc = run_cli("threshold", "--state", "custom", "--vec", "--format", "csv")
@@ -262,6 +275,25 @@ class TestConfigFile:
         lines = proc.stdout.split("\n")
         assert "# d=5" in lines and "# seed=2" in lines
 
+    @pytest.mark.parametrize("method", ["wigner", "polytope", "kd", "crit"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("scope", "everything", "unknown scope 'everything'"),
+            ("families", ["fancy"], "unknown frame families: ['fancy']"),
+        ],
+    )
+    def test_scope_and_families_checked_for_every_method(
+        self, tmp_path, method, key, value, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": 1, key: value}))
+        proc = run_cli("threshold", "--config", str(cfg), "--method", method)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"magicnoise: error: {message}")
+
     def test_families_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schema": 1, "families": ["gross"]}))
@@ -312,6 +344,13 @@ class TestScanCommand:
         assert proc.returncode == 1
         assert "grid points" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("step", ["inf", "nan"])
+    def test_non_finite_step_rejected(self, step):
+        proc = run_cli("scan", "--step", step)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"magicnoise: error: step must be finite, got {step}\n"
 
     def test_empty_grid_rejected(self):
         proc = run_cli("scan", "--start", "0.3", "--stop", "0.3")

@@ -41,6 +41,11 @@ class TestJsonable:
         assert doc == {"f": 1.5, "i": 3, "a": [0, 1, 2], "t": [1, 2], "c": {"im": 2.0, "re": 1.0}}
         json.dumps(doc)  # must be directly serializable
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_dumps_refuses_non_finite_floats(self, value):
+        with pytest.raises(ValueError):
+            dumps({"tol": value})
+
     def test_dumps_is_sorted_and_newline_terminated(self):
         text = dumps({"b": 1, "a": 2})
         assert text == '{\n  "a": 2,\n  "b": 1\n}\n'

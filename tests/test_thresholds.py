@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import linprog
@@ -34,7 +36,13 @@ from magicnoise import (
     subtheory_floor,
     wigner_threshold,
 )
-from magicnoise.thresholds import _stabilizer_projectors, _trace_points
+from magicnoise import thresholds
+from magicnoise.thresholds import (
+    _polytope_scan,
+    _stabilizer_projectors,
+    _trace_points,
+    _wigner_scan,
+)
 
 FAST = OptimizerConfig(restarts=4, max_iterations=150, seed=3)
 
@@ -281,6 +289,79 @@ class TestPolytopeLPProperties:
             assert np.trace(w @ depolarize(rho, q).entries).real >= res.p - q - 1e-9
 
 
+def _bits(scan: tuple) -> list:
+    """A scan's values down to the bit (and the sign of zero)."""
+    return [(float.hex(p), float.hex(w)) for p, w in scan]
+
+
+def _wigner_scan_loop(w: np.ndarray, d2: int, p_star: float) -> tuple:
+    """Reference: one evaluation per trace point."""
+    return tuple(
+        (float(p), float(np.abs(np.minimum(0.0, (1.0 - p) * w + p / d2)).sum()))
+        for p in _trace_points(p_star)
+    )
+
+
+def _polytope_scan_loop(p_star: float) -> tuple:
+    """Reference: one evaluation per trace point."""
+    return tuple(
+        (float(q), float(max(0.0, (p_star - q) / (1.0 - q))) if q < 1.0 else 0.0)
+        for q in _trace_points(p_star)
+    )
+
+
+class TestVectorizedScans:
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @given(data=st.data())
+    def test_match_the_per_point_loop(self, d, data):
+        rho = data.draw(noisy_states(d))
+        w = gross_representation_values(rho)
+        wig, poly = wigner_threshold(rho), polytope_threshold(rho)
+        assert _bits(wig.scan) == _bits(_wigner_scan_loop(w, d * d, wig.p))
+        assert _bits(poly.scan) == _bits(_polytope_scan_loop(poly.p))
+
+    def test_stabilizer_state_has_p_star_zero(self, d3):
+        rho = magic_state("custom", d3, custom_vec=[1, 0, 0])
+        wig, poly = wigner_threshold(rho), polytope_threshold(rho)
+        assert wig.p == poly.p == 0.0
+        w = gross_representation_values(rho)
+        assert _bits(wig.scan) == _bits(_wigner_scan_loop(w, 9, 0.0))
+        assert _bits(poly.scan) == _bits(_polytope_scan_loop(0.0))
+        assert len(wig.scan) == len(poly.scan) == 21
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 15, 20])
+    def test_p_star_on_a_grid_point(self, strange, k):
+        p_star = float(np.linspace(0.0, 1.0, 21)[k])
+        w = gross_representation_values(strange)
+        scan = _wigner_scan(w, 9, p_star)
+        assert len(scan) == 21
+        assert _bits(scan) == _bits(_wigner_scan_loop(w, 9, p_star))
+        assert _bits(_polytope_scan(p_star)) == _bits(_polytope_scan_loop(p_star))
+
+
+class TestWignerComputedOncePerAnswer:
+    """polytope, kd and crit (when the KD family wins) record the Wigner
+    threshold without building a Wigner result."""
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @given(data=st.data())
+    def test_without_wigner_threshold(self, d, data):
+        rho = data.draw(noisy_states(d))
+        want = wigner_threshold(rho).p
+        # a magic state; at p_wigner == 0 gross ties with kd and wins crit
+        assume(want > 0.0)
+        with mock.patch.object(
+            thresholds, "wigner_threshold", side_effect=AssertionError("called")
+        ):
+            poly = polytope_threshold(rho)
+            kd = kd_threshold(rho)
+            crit = crit_threshold(rho, scope="state")
+        assert poly.certificate["p_wigner"] == want
+        assert kd.certificate["p_wigner"] == want
+        assert crit.certificate["per_family"]["gross"] == want
+        assert crit.certificate["winner"]["p_wigner"] == want
+
+
 class TestKDThreshold:
     def test_strange_state_scope_is_near_zero(self, strange):
         res = kd_threshold(strange, config=FAST, tol=1e-3)
@@ -353,6 +434,14 @@ class TestKDThreshold:
     def test_rejects_non_positive_tol(self, strange, scope, tol):
         with pytest.raises(ValueError, match="tolerance must be positive"):
             kd_threshold(strange, scope=scope, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "threshold", [polytope_threshold, kd_threshold, crit_threshold]
+)
+def test_rejects_non_finite_tol(strange, threshold):
+    with pytest.raises(ValueError, match="tolerance must be finite, got inf"):
+        threshold(strange, tol=float("inf"))
 
 
 def _expm_unitary(d: int, params: np.ndarray) -> np.ndarray:
