@@ -35,7 +35,6 @@ from .serialize import (
     validation_report_to_dict,
 )
 from .thresholds import (
-    FRAME_FAMILIES,
     crit_threshold,
     kd_threshold,
     polytope_threshold,
@@ -46,20 +45,18 @@ METHODS = ("wigner", "polytope", "kd", "crit")
 FORMATS = ("json", "csv")
 SCOPES = ("state", "subtheory")
 BUILTIN_FRAMES = {"gross": gross_wigner_frame, "kd-mub": canonical_mub_frame}
-SCAN_FRAMES = tuple(BUILTIN_FRAMES)
 # Largest noise grid `scan` evaluates: a step of 1e-4 over [0, 1].
 MAX_SCAN_POINTS = 10_001
 
 
 class Setting(NamedTuple):
     """One setting of a subcommand: the flag --name (underscores as
-    dashes) beats the config-file key name, which beats default. A setting
-    without help is read from the config file only."""
+    dashes) beats the config-file key name, which beats default."""
 
     name: str
     kind: type
     default: object
-    help: Optional[str]
+    help: str
     choices: Optional[tuple] = None
 
 
@@ -77,25 +74,16 @@ THRESHOLD_SETTINGS = (
     Setting("method", str, "wigner", "threshold definition to use", METHODS),
     Setting("scope", str, "state", "what the KD witness must classicalize", SCOPES),
     Setting("tol", float, 1e-6, "Wigner grid step; recorded otherwise"),
-    Setting(
-        "class_tol",
-        float,
-        None,
-        "kd: witness value below which a frame counts as classical, in (0, nu_d)",
-    ),
-    Setting("seed", int, 0, "base seed for the frame search"),
     Setting("restarts", int, 32, "frame-search restarts"),
-    Setting("families", list, FRAME_FAMILIES, None),
 )
 SCAN_SETTINGS = (
     _FORMAT._replace(default="csv"),
     Setting("start", float, 0.0, "grid start (default 0)"),
     Setting("stop", float, 1.0, "grid stop (default 1)"),
     Setting("step", float, 0.05, "grid step (default 0.05)"),
-    Setting("scan_frames", list, SCAN_FRAMES, None),
 )
 VALIDATE_SETTINGS = (
-    Setting("builtin", str, None, "validate a built-in frame", SCAN_FRAMES),
+    Setting("builtin", str, None, "validate a built-in frame", tuple(BUILTIN_FRAMES)),
     Setting("frame", str, None, "validate a frame loaded from a JSON file"),
     _D._replace(help="dimension for --builtin (default 3)"),
 )
@@ -128,7 +116,8 @@ def _load_config(path: Optional[str]) -> dict:
     data = _read_json(path, "config file")
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    if data.get("schema") != 1:
+    schema = data.get("schema")
+    if schema != 1 or isinstance(schema, bool):
         raise ValueError('config file must declare "schema": 1')
     unknown = set(data) - CONFIG_KEYS
     if unknown:
@@ -221,24 +210,16 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     _check_format(cfg["format"])
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; pick one of {SCOPES}")
-    unknown = set(cfg["families"]) - set(FRAME_FAMILIES)
-    if unknown:
-        raise ValueError(f"unknown frame families: {sorted(unknown)}")
 
-    opt = OptimizerConfig(restarts=cfg["restarts"], seed=cfg["seed"])
+    opt = OptimizerConfig(restarts=cfg["restarts"])
     if method == "wigner":
         result = wigner_threshold(rho, scan_step=tol)
     elif method == "polytope":
         result = polytope_threshold(rho, tol=tol)
     elif method == "kd":
-        class_tol = cfg["class_tol"]
-        result = kd_threshold(
-            rho, config=opt, scope=scope, tol=tol, classification_tol=class_tol
-        )
+        result = kd_threshold(rho, config=opt, scope=scope, tol=tol)
     else:
-        result = crit_threshold(
-            rho, families=cfg["families"], config=opt, scope=scope, tol=tol
-        )
+        result = crit_threshold(rho, config=opt, scope=scope, tol=tol)
 
     if cfg["format"] == "json":
         text = _report(cfg, result_to_dict(result))
@@ -246,7 +227,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         preamble = _config_preamble(cfg) + [
             f"kind={result.kind}",
             f"p={result.p!r}",
-            f"upper_bound={result.upper_bound}",
         ]
         text = threshold_trace_csv(result, preamble=preamble)
     _emit(text, args.out)
@@ -257,7 +237,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _load_config(args.config), STATE_SETTINGS + SCAN_SETTINGS)
     dim, rho = _build_state(cfg)
     start, stop, step = cfg["start"], cfg["stop"], cfg["step"]
-    frames = cfg["scan_frames"]
     _check_format(cfg["format"])
     if not (0.0 <= start < stop <= 1.0):
         raise ValueError("need 0 <= start < stop <= 1")
@@ -265,11 +244,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError("step must be positive")
     if not math.isfinite(step):
         raise ValueError(f"step must be finite, got {step!r}")
-    unknown = set(frames) - set(SCAN_FRAMES)
-    if unknown:
-        raise ValueError(f"unknown scan frames: {sorted(unknown)}")
 
-    built = {name: BUILTIN_FRAMES[name](dim) for name in frames}
+    built = {name: frame(dim) for name, frame in BUILTIN_FRAMES.items()}
     intervals = np.floor((stop - start) / step + 1e-9)
     if not intervals < MAX_SCAN_POINTS:
         raise ValueError(
@@ -282,8 +258,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     rows = []
     for p in grid:
         rho_p = depolarize(rho, p)
-        for name in frames:
-            dist = represent_state(built[name], rho_p)
+        for name, frame in built.items():
+            dist = represent_state(frame, rho_p)
             flat = dist.flat()
             rows.append(
                 (
@@ -321,14 +297,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _add_flags(parser: argparse.ArgumentParser, settings) -> None:
     for s in settings:
-        if s.help is not None:
-            parser.add_argument(
-                "--" + s.name.replace("_", "-"),
-                dest=s.name,
-                type=s.kind,
-                choices=s.choices,
-                help=s.help,
-            )
+        parser.add_argument(
+            "--" + s.name.replace("_", "-"),
+            dest=s.name,
+            type=s.kind,
+            choices=s.choices,
+            help=s.help,
+        )
 
 
 def build_parser() -> _Parser:
@@ -363,7 +338,7 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
     VALUE for an option.
 
     argparse reads an argument that starts with '-' as an option unless it
-    is a plain negative number, so `--class-tol -1e-9` and a vector such
+    is a plain negative number, so `--tol -1e-9` and a vector such
     as `--vec -0.5+0.1j,1,0` would fail with "expected one argument".
     After the subcommand, a VALUE starting with '-' and a digit or '.' is
     attached to the long flag before it, and any VALUE but a long flag to

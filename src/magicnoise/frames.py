@@ -54,12 +54,19 @@ class ExactFrame:
         for op in self.analysis + self.synthesis:
             if op.dim != self.dim:
                 raise ValueError("frame operators must share the frame dimension")
+        for name in ("analysis", "synthesis"):
+            stack = np.stack([op.entries for op in getattr(self, name)])
+            stack.setflags(write=False)
+            object.__setattr__(self, f"_{name}_stack", stack)
 
     def analysis_stack(self) -> np.ndarray:
-        return np.stack([op.entries for op in self.analysis])
+        """The analysis operators as one read-only (d^2, d, d) array, the
+        same object on every call."""
+        return self._analysis_stack
 
     def synthesis_stack(self) -> np.ndarray:
-        return np.stack([op.entries for op in self.synthesis])
+        """The synthesis operators as one read-only (d^2, d, d) array."""
+        return self._synthesis_stack
 
 
 def kd_frame(

@@ -1,5 +1,5 @@
-"""Deterministic frame search: a seeded multi-restart downhill simplex over
-the unitary parameters of Kirkwood-Dirac frames for the subtheory witness,
+"""Deterministic frame search: a multi-restart downhill simplex over the
+unitary parameters of Kirkwood-Dirac frames for the subtheory witness,
 and the unitary logarithm that encodes a frame as parameters."""
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ class NoThresholdError(RuntimeError):
     """Raised when no noise level in [0, 1] makes the state classical."""
 
 
-# Offset of the initial downhill simplex along each parameter, and the
-# spread of vertex values at which a run stops.
+# Offset of the initial downhill simplex along each parameter, the spread
+# of vertex values at which a run stops, and the iteration cap of a run.
 SIMPLEX_SCALE = 0.3
 SPREAD_TOL = 1e-10
+MAX_ITERATIONS = 400
 
 
 @dataclass(frozen=True)
@@ -35,20 +36,16 @@ class OptimizerConfig:
 
     restarts counts independent downhill-simplex runs (restart 0 always
     starts at the computational/Fourier frame, restart 1 at a frame adapted
-    to the target state's eigenbasis, the rest at seeded random offsets).
+    to the target state's eigenbasis, restart r >= 2 at a random offset
+    drawn from np.random.default_rng(r)).
     """
 
     restarts: int = 32
-    max_iterations: int = 400
-    seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("need at least one restart")
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer")
+        r = self.restarts
+        if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+            raise ValueError(f"restarts must be a positive integer, got {r!r}")
 
 
 @dataclass(frozen=True)
@@ -174,21 +171,6 @@ def decode_frame(dim: Dimension, params: np.ndarray):
     return frame_from_unitaries(u, v)
 
 
-_MASK = (1 << 64) - 1
-
-
-def _mix64(z: int) -> int:
-    """splitmix-style finalizer used to derive per-restart seeds."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return (z ^ (z >> 31)) & _MASK
-
-
-def restart_seed(seed: int, restart: int) -> int:
-    return _mix64(_mix64(seed & _MASK) ^ restart)
-
-
 def nelder_mead(
     fn: Callable[[np.ndarray], float],
     x0: np.ndarray,
@@ -279,7 +261,8 @@ def minimize_omega(
     level p (the operational set of standard_operational_set).
 
     Restart 0 starts at the computational/Fourier frame, restart 1 at the
-    eigenbasis frame of the noisy state, the rest at seeded random points.
+    eigenbasis frame of the noisy state, restart r >= 2 at a random point
+    drawn from np.random.default_rng(r).
     Restarts are merged by (objective, restart index), so enlarging the
     restart budget can only improve the returned objective.
     """
@@ -298,11 +281,9 @@ def minimize_omega(
         if restart < len(starts):
             x0 = starts[restart]
         else:
-            rng = np.random.default_rng(restart_seed(config.seed, restart))
+            rng = np.random.default_rng(restart)
             x0 = rng.normal(0.0, SIMPLEX_SCALE, size=2 * d2)
-        x, fx = nelder_mead(
-            objective, x0, SIMPLEX_SCALE, config.max_iterations, SPREAD_TOL
-        )
+        x, fx = nelder_mead(objective, x0, SIMPLEX_SCALE, MAX_ITERATIONS, SPREAD_TOL)
         return fx, restart, x
 
     outcomes = [run(r) for r in range(config.restarts)]

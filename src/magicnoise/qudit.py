@@ -27,7 +27,7 @@ class Tolerances:
         time (hermiticity, unitarity, trace normalization).
     validation:   residual allowed when re-checking derived invariants
         (frame axioms, eigenvector residuals, positivity floors).
-    classification: threshold below which an optimizer-produced witness value
+    classification: threshold below which a certificate's witness value
         counts as zero when deciding classicality.
     """
 
@@ -73,6 +73,7 @@ class Operator:
       unitary - U dagger U = identity
       effect  - Hermitian with spectrum inside [0, 1]
       generic - no constraint beyond shape
+    Every role but generic also needs finite entries.
     """
 
     dim: Dimension
@@ -94,6 +95,8 @@ class Operator:
     def _check_role(self):
         a = self.entries
         ct, vt = DEFAULT_TOLERANCES.construction, DEFAULT_TOLERANCES.validation
+        if self.role != "generic" and not np.isfinite(a).all():
+            raise ValueError(f"{self.role} operator has non-finite entries")
         if self.role in ("state", "effect"):
             if np.abs(a - a.conj().T).max() > ct:
                 raise ValueError(f"{self.role} operator must be Hermitian")

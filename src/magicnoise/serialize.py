@@ -58,9 +58,23 @@ def operator_from_dict(data: dict) -> Operator:
     d = int(data["d"])
     re = np.array(data["re"], dtype=float)
     im = np.array(data["im"], dtype=float)
+    role = str(data.get("role", "generic"))
     if re.shape != (d, d) or im.shape != (d, d):
         raise ValueError("operator entries must be d x d")
-    return Operator(Dimension(d), re + 1j * im, role=str(data.get("role", "generic")))
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError(f"{role} operator has non-finite entries")
+    return Operator(Dimension(d), re + 1j * im, role=role)
+
+
+def _operators(data: dict, key: str) -> tuple[Operator, ...]:
+    """The operators of data[key], a failure naming the one at fault."""
+    ops = []
+    for k, entry in enumerate(data[key]):
+        try:
+            ops.append(operator_from_dict(entry))
+        except ValueError as exc:
+            raise ValueError(f"frame operator {key}[{k}]: {exc}") from exc
+    return tuple(ops)
 
 
 def frame_to_dict(frame: ExactFrame) -> dict:
@@ -75,8 +89,8 @@ def frame_to_dict(frame: ExactFrame) -> dict:
 def frame_from_dict(data: dict) -> ExactFrame:
     d = int(data["d"])
     dim = Dimension(d)
-    analysis = tuple(operator_from_dict(o) for o in data["F"])
-    synthesis = tuple(operator_from_dict(o) for o in data["D"])
+    analysis = _operators(data, "F")
+    synthesis = _operators(data, "D")
     labels = tuple((k // d, k % d) for k in range(d * d))
     descriptor = dict(data.get("descriptor", {"kind": "unknown"}))
     return ExactFrame(dim, labels, analysis, synthesis, descriptor)
@@ -102,23 +116,21 @@ def result_to_dict(result: ThresholdResult) -> dict:
     return {
         "kind": result.kind,
         "p": float(result.p),
-        "upper_bound": bool(result.upper_bound),
         "certificate": jsonable(result.certificate),
         "scan": [[float(p), float(w)] for p, w in result.scan],
         "tol": float(result.tol),
-        "seed": None if result.seed is None else int(result.seed),
     }
 
 
 def result_from_dict(data: dict) -> ThresholdResult:
+    """Inverse of result_to_dict; the upper_bound and seed keys of older
+    reports are ignored."""
     return ThresholdResult(
         kind=str(data["kind"]),
         p=float(data["p"]),
-        upper_bound=bool(data["upper_bound"]),
         certificate=dict(data["certificate"]),
         scan=tuple((float(p), float(w)) for p, w in data["scan"]),
         tol=float(data["tol"]),
-        seed=None if data.get("seed") is None else int(data["seed"]),
     )
 
 

@@ -18,7 +18,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -55,19 +55,16 @@ GAP_TOLERANCE = 1e-4
 class ThresholdResult:
     """Outcome of one threshold computation.
 
-    p is the estimated noise threshold; upper_bound marks search-based
-    estimates that only bound the true value from above. certificate holds
-    enough data to re-verify the claim from scratch; scan records the
-    (noise, witness) pairs actually evaluated.
+    p is the noise threshold, exact up to the method's stated accuracy.
+    certificate holds enough data to re-verify the claim from scratch; scan
+    records (noise, witness) pairs along the noise line.
     """
 
     kind: str
     p: float
-    upper_bound: bool
     certificate: dict
     scan: tuple
     tol: float
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in ("wigner", "polytope", "kd", "crit"):
@@ -215,7 +212,7 @@ def wigner_threshold(rho_m: Operator, scan_step: float = 1e-6) -> ThresholdResul
         "grid_check": p_grid,
     }
     scan = _wigner_scan(w, d2, p_star)
-    return ThresholdResult("wigner", p_star, False, certificate, scan, scan_step, None)
+    return ThresholdResult("wigner", p_star, certificate, scan, scan_step)
 
 
 @dataclass(frozen=True)
@@ -369,9 +366,7 @@ def polytope_threshold(rho_m: Operator, tol: float = 1e-6) -> ThresholdResult:
             "coincidence_with_wigner": "CONFIRMED" if coincide else "REFUTED",
         }
     )
-    return ThresholdResult(
-        "polytope", p_star, False, certificate, _polytope_scan(p_star), tol, None
-    )
+    return ThresholdResult("polytope", p_star, certificate, _polytope_scan(p_star), tol)
 
 
 def _packed(values: np.ndarray) -> array:
@@ -411,7 +406,6 @@ def kd_threshold(
     config: Optional[OptimizerConfig] = None,
     scope: str = "state",
     tol: float = 1e-6,
-    classification_tol: Optional[float] = None,
 ) -> ThresholdResult:
     """Noise level where some Kirkwood-Dirac frame represents the probed
     operations classically.
@@ -420,33 +414,24 @@ def kd_threshold(
     B = A F (F the Fourier gate), Q_ij = lambda_i |<a_i|b_j>|^2 =
     lambda_i / d >= 0, so the threshold is exactly 0, certified by that
     frame (validated, and its witness rechecked against
-    classification_tol); config is not used. The certificate stores the
-    frame's parameters so the claim can be re-verified by decoding and
-    re-evaluating. The result also reports how p compares with the Wigner
-    threshold: either the expected ordering holds within GAP_TOLERANCE or
-    a POTENTIAL_GAP diagnostic is emitted (never both).
+    DEFAULT_TOLERANCES.classification, which round-off never reaches);
+    config is not used. The certificate stores the frame's parameters so
+    the claim can be re-verified by decoding and re-evaluating. The result
+    also reports how p compares with the Wigner threshold: either the
+    expected ordering holds within GAP_TOLERANCE or a POTENTIAL_GAP
+    diagnostic is emitted (never both).
 
     scope "subtheory" has no threshold: every frame keeps the witness at
     or above subtheory_floor(d) at every p. One frame search at p = 1
     cross-checks that floor, and NoThresholdError names both values.
-
-    classification_tol outside (0, subtheory_floor(d)), or below the
-    certificate's round-off, raises ValueError.
     """
     if scope not in ("state", "subtheory"):
         raise ValueError("scope must be 'state' or 'subtheory'")
     _check_tol(tol)
-    if classification_tol is None:
-        classification_tol = DEFAULT_TOLERANCES.classification
     dim = rho_m.dim
-    floor = subtheory_floor(dim.d)
-    if not 0.0 < classification_tol < floor:
-        raise ValueError(
-            f"classification_tol must lie in (0, {floor:.4f}), the subtheory "
-            f"floor at d={dim.d}; got {classification_tol!r}"
-        )
 
     if scope == "subtheory":
+        floor = subtheory_floor(dim.d)
         best = minimize_omega(1.0, rho_m, config or OptimizerConfig())
         if best.objective < floor:
             raise RuntimeError(
@@ -469,10 +454,11 @@ def kd_threshold(
         raise RuntimeError(
             f"eigenbasis frame fails validation: residuals {report.to_dict()}"
         )
+    classification_tol = DEFAULT_TOLERANCES.classification
     if objective > classification_tol:
-        raise ValueError(
-            f"classification_tol {classification_tol!r} is below the round-off "
-            f"witness {objective:.3e} of the exact eigenbasis certificate"
+        raise RuntimeError(
+            f"eigenbasis certificate has witness {objective:.3e}, above "
+            f"classification_tol {classification_tol!r}"
         )
     p_wigner = _wigner_closed_form(rho_m)[0]
 
@@ -494,65 +480,39 @@ def kd_threshold(
         "ordering_satisfied": ordering_ok,
         "diagnostics": diagnostics,
     }
-    return ThresholdResult(
-        "kd", p_hat, False, certificate, ((p_hat, objective),), tol, None
-    )
-
-
-FRAME_FAMILIES = ("gross", "kd")
+    return ThresholdResult("kd", p_hat, certificate, ((p_hat, objective),), tol)
 
 
 def crit_threshold(
     rho_m: Operator,
-    families: Sequence[str] = FRAME_FAMILIES,
     config: Optional[OptimizerConfig] = None,
     scope: str = "state",
     tol: float = 1e-6,
 ) -> ThresholdResult:
-    """Minimum threshold over the frame families: "gross" is the Wigner
-    threshold, "kd" is kd_threshold in the given scope.
+    """Minimum threshold over the frame families "gross", the Wigner
+    threshold, and "kd", kd_threshold in the given scope; a tie goes to
+    gross.
 
-    In scope "state" the KD family wins with its exact 0; in scope
-    "subtheory" it has no threshold (see subtheory_floor) and is skipped,
-    so the result is the Wigner threshold. upper_bound and seed are the
-    winning family's own. If every family is skipped, NoThresholdError
-    propagates.
+    In scope "state" the KD family wins with its exact 0, and gross is the
+    p_wigner its certificate records; in scope "subtheory" KD has no
+    threshold (see subtheory_floor), so the result is the Wigner threshold.
     """
     _check_tol(tol)
-    chosen = tuple(dict.fromkeys(families))
-    if not chosen:
-        raise ValueError("need at least one frame family")
-    unknown = set(chosen) - set(FRAME_FAMILIES)
-    if unknown:
-        raise ValueError(f"unknown frame families: {sorted(unknown)}")
-
-    per_family: dict[str, Optional[float]] = {}
-    kd_result = None
-    for fam in chosen:
-        if fam == "gross":
-            per_family[fam] = _wigner_closed_form(rho_m)[0]
-            continue
-        try:
-            kd_result = kd_threshold(rho_m, config=config, scope=scope, tol=tol)
-            per_family[fam] = kd_result.p
-        except NoThresholdError:
-            per_family[fam] = None
-
-    viable = sorted(
-        (p, fam) for fam, p in per_family.items() if p is not None
-    )
-    if not viable:
-        raise NoThresholdError("no searched frame family admits a threshold")
-    p_best, fam_best = viable[0]
-    winner = wigner_threshold(rho_m) if fam_best == "gross" else kd_result
+    try:
+        kd = kd_threshold(rho_m, config=config, scope=scope, tol=tol)
+    except NoThresholdError:
+        kd = None
+    if kd is not None and kd.p < kd.certificate["p_wigner"]:
+        family, winner, gross = "kd", kd, kd.certificate["p_wigner"]
+    else:
+        family, winner = "gross", wigner_threshold(rho_m)
+        gross = winner.p
     certificate = {
-        "family": fam_best,
-        "per_family": per_family,
+        "family": family,
+        "per_family": {"gross": gross, "kd": None if kd is None else kd.p},
         "winner": winner.certificate,
     }
-    return ThresholdResult(
-        "crit", p_best, winner.upper_bound, certificate, winner.scan, tol, winner.seed
-    )
+    return ThresholdResult("crit", winner.p, certificate, winner.scan, tol)
 
 
 def mub_frame_stabilizer_check(

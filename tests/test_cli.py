@@ -49,8 +49,6 @@ class TestThresholdCommand:
             "threshold",
             "--method",
             "kd",
-            "--seed",
-            "1",
             "--restarts",
             "3",
             "--tol",
@@ -59,10 +57,12 @@ class TestThresholdCommand:
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         res = doc["result"]
+        assert set(res) == {"kind", "p", "certificate", "scan", "tol"}
         assert res["kind"] == "kd"
         assert res["p"] == 0.0
-        assert res["upper_bound"] is False
-        assert res["seed"] is None
+        assert set(doc["config"]) == {
+            "d", "state", "vec", "format", "method", "scope", "tol", "restarts"
+        }
         cert = res["certificate"]
         assert ("POTENTIAL_GAP" in cert["diagnostics"]) != cert["ordering_satisfied"]
 
@@ -82,8 +82,8 @@ class TestThresholdCommand:
         per = doc["result"]["certificate"]["per_family"]
         assert set(per) == {"gross", "kd"}
         # the exact state-scope KD value wins, and no search ran
-        assert doc["result"]["upper_bound"] is False
-        assert doc["result"]["seed"] is None
+        assert doc["result"]["certificate"]["family"] == "kd"
+        assert doc["result"]["p"] == 0.0
 
     def test_csv_format_embeds_config(self):
         proc = run_cli("threshold", "--method", "wigner", "--format", "csv")
@@ -119,24 +119,12 @@ class TestThresholdCommand:
         assert "no threshold" in proc.stderr
         assert "subtheory_floor(3) = 0.2887" in proc.stderr
 
-    @pytest.mark.parametrize(
-        "class_tol, scope",
-        [
-            ("0", "state"),
-            ("-1e-9", "state"),
-            ("0.5", "state"),
-            ("0.5", "subtheory"),
-            ("1e-300", "state"),
-        ],
-    )
-    def test_class_tol_out_of_range_exits_1(self, class_tol, scope):
-        proc = run_cli(
-            "threshold", "--method", "kd", "--scope", scope, "--class-tol", class_tol
-        )
+    @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--class-tol", "1e-9")])
+    def test_removed_flags_are_unrecognised(self, flag, value):
+        proc = run_cli("threshold", "--method", "kd", flag, value)
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr.count("\n") == 1
-        assert proc.stderr.startswith("magicnoise: error: classification_tol")
+        assert f"error: unrecognized arguments: {flag}" in proc.stderr
 
     @pytest.mark.parametrize(
         "method, tol", [("kd", "-0.001"), ("crit", "-0.001"), ("kd", "nan")]
@@ -233,10 +221,12 @@ class TestConfigFile:
 
     def test_missing_schema_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"state": "norrell"}))
-        proc = run_cli("threshold", "--config", str(cfg))
-        assert proc.returncode == 1
-        assert "schema" in proc.stderr
+        # true == 1 in Python, but a boolean is not a schema number
+        for doc in ({"state": "norrell"}, {"schema": True, "state": "norrell"}):
+            cfg.write_text(json.dumps(doc))
+            proc = run_cli("threshold", "--config", str(cfg))
+            assert proc.returncode == 1
+            assert "schema" in proc.stderr
 
     def test_malformed_json_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -249,8 +239,6 @@ class TestConfigFile:
         [
             ("d", 5.9),
             ("d", True),
-            ("seed", 1.5),
-            ("seed", False),
             ("restarts", 2.5),
             ("restarts", True),
         ],
@@ -268,19 +256,19 @@ class TestConfigFile:
 
     def test_integral_numbers_are_integers(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        doc = {"schema": 1, "state": "custom", "vec": "1,0,0,0,1", "d": 5.0, "seed": 2.0}
+        doc = {"schema": 1, "state": "custom", "vec": "1,0,0,0,1", "d": 5.0, "restarts": 2.0}
         cfg.write_text(json.dumps(doc))
         proc = run_cli("threshold", "--config", str(cfg), "--format", "csv")
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.split("\n")
-        assert "# d=5" in lines and "# seed=2" in lines
+        assert "# d=5" in lines and "# restarts=2" in lines
 
     @pytest.mark.parametrize("method", ["wigner", "polytope", "kd", "crit"])
     @pytest.mark.parametrize(
         "key, value, message",
         [
             ("scope", "everything", "unknown scope 'everything'"),
-            ("families", ["fancy"], "unknown frame families: ['fancy']"),
+            ("families", ["fancy"], "unknown config keys: ['families']"),
         ],
     )
     def test_scope_and_families_checked_for_every_method(
@@ -295,13 +283,22 @@ class TestConfigFile:
         assert proc.stderr.startswith(f"magicnoise: error: {message}")
 
     def test_families_config_key(self, tmp_path):
+        # crit always takes both families
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schema": 1, "families": ["gross"]}))
         proc = run_cli("threshold", "--config", str(cfg), "--method", "crit")
-        assert proc.returncode == 0, proc.stderr
-        doc = json.loads(proc.stdout)
-        assert doc["result"]["certificate"]["family"] == "gross"
-        assert abs(doc["result"]["p"] - 0.75) < 1e-6
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "magicnoise: error: unknown config keys: ['families']\n"
+
+    @pytest.mark.parametrize("key, value", [("seed", 1), ("class_tol", 1e-9)])
+    def test_removed_keys_are_unknown(self, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": 1, key: value}))
+        proc = run_cli("threshold", "--config", str(cfg), "--method", "kd")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"magicnoise: error: unknown config keys: ['{key}']\n"
 
 
 class TestScanCommand:
@@ -357,14 +354,15 @@ class TestScanCommand:
         assert proc.returncode == 1
 
     def test_scan_frames_config_key(self, tmp_path):
+        # scan always evaluates gross and kd-mub
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schema": 1, "scan_frames": ["gross"]}))
         proc = run_cli(
             "scan", "--config", str(cfg), "--step", "0.5", "--format", "json"
         )
-        assert proc.returncode == 0, proc.stderr
-        rows = json.loads(proc.stdout)["result"]["rows"]
-        assert {r["frame"] for r in rows} == {"gross"}
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "magicnoise: error: unknown config keys: ['scan_frames']\n"
 
 
 class TestValidateCommand:
@@ -396,6 +394,22 @@ class TestValidateCommand:
         doc = json.loads(proc.stdout)
         assert doc["result"]["passed"] is False
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entry_exits_1(self, tmp_path, value):
+        from magicnoise import Dimension, frame_to_dict, gross_wigner_frame
+
+        data = frame_to_dict(gross_wigner_frame(Dimension(3)))
+        data["D"][4]["im"][0][1] = value
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(data))  # writes the NaN and Infinity tokens
+        proc = run_cli("validate", "--frame", str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "magicnoise: error: frame operator D[4]: generic operator has "
+            "non-finite entries\n"
+        )
+
     def test_unparseable_file_exit_1(self, tmp_path):
         path = tmp_path / "frame.json"
         path.write_text("{broken")
@@ -416,8 +430,6 @@ class TestDeterminism:
             "threshold",
             "--method",
             "kd",
-            "--seed",
-            "1",
             "--restarts",
             "4",
             "--tol",

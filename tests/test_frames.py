@@ -125,6 +125,20 @@ class TestKDFrame:
         assert frame.descriptor["kind"] == "parametrized"
 
 
+class TestStacks:
+    @pytest.mark.parametrize("builder", [gross_wigner_frame, canonical_mub_frame])
+    def test_same_read_only_array_on_every_call(self, builder, d3):
+        frame = builder(d3)
+        for ops, stack in (
+            (frame.analysis, frame.analysis_stack),
+            (frame.synthesis, frame.synthesis_stack),
+        ):
+            first = stack()
+            assert stack() is first
+            assert not first.flags.writeable
+            assert np.array_equal(first, [op.entries for op in ops])
+
+
 class TestValidationReport:
     def test_reports_broken_frame(self, d3, mub3):
         # perturb one analysis operator; reconstruction must fail

@@ -18,15 +18,15 @@ from magicnoise import (
     params_from_unitary,
     random_state,
     random_unitary,
-    restart_seed,
     subtheory_floor,
     unitary_from_params,
     validate_frame,
 )
+from magicnoise import optimize
 from magicnoise.frames import OVERLAP_FLOOR
-from magicnoise.optimize import _log_unitary, _Objective
+from magicnoise.optimize import SIMPLEX_SCALE, _log_unitary, _Objective
 
-SMALL = OptimizerConfig(restarts=4, max_iterations=150, seed=3)
+SMALL = OptimizerConfig(restarts=2)
 
 
 class TestOptimizerConfig:
@@ -34,21 +34,21 @@ class TestOptimizerConfig:
         cfg = OptimizerConfig()
         assert cfg.restarts == 32
         names = [f.name for f in dataclasses.fields(cfg)]
-        assert names == ["restarts", "max_iterations", "seed"]
+        assert names == ["restarts"]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"restarts": 0},
-            {"max_iterations": 0},
             {"restarts": -1},
-            {"max_iterations": -1},
-            {"seed": "3"},
-            {"seed": 1.5},
+            {"restarts": 1.5},
+            {"restarts": "3"},
+            {"restarts": True},
+            {"restarts": None},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="restarts must be a positive integer"):
             OptimizerConfig(**kwargs)
 
 
@@ -172,16 +172,31 @@ class TestNelderMead:
 
 
 class TestRestartSeeds:
-    def test_distinct_and_deterministic(self):
-        seeds = {restart_seed(1, r) for r in range(100)}
-        assert len(seeds) == 100
-        assert restart_seed(1, 5) == restart_seed(1, 5)
-        assert restart_seed(1, 5) != restart_seed(2, 5)
+    @staticmethod
+    def _starts(monkeypatch, rho, restarts: int) -> list[np.ndarray]:
+        """The start of every restart, each run stopped where it starts."""
+        starts = []
 
-    def test_range(self):
-        for r in range(20):
-            s = restart_seed(12345, r)
-            assert 0 <= s < 2 ** 64
+        def record(fn, x0, *args):
+            starts.append(x0.copy())
+            return x0, fn(x0)
+
+        monkeypatch.setattr(optimize, "nelder_mead", record)
+        minimize_omega(0.3, rho, OptimizerConfig(restarts=restarts))
+        return starts
+
+    def test_distinct_and_deterministic(self, monkeypatch, strange):
+        first = self._starts(monkeypatch, strange, 6)
+        again = self._starts(monkeypatch, strange, 6)
+        assert len({x.tobytes() for x in first}) == 6
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+    def test_range(self, monkeypatch, strange):
+        # over the whole range of restarts, r >= 2 is seeded by r alone
+        starts = self._starts(monkeypatch, strange, 6)
+        for r in range(2, 6):
+            want = np.random.default_rng(r).normal(0.0, SIMPLEX_SCALE, size=18)
+            assert np.array_equal(starts[r], want)
 
 
 class TestMinimizeOmega:
@@ -198,8 +213,8 @@ class TestMinimizeOmega:
         assert abs(value - point.objective) < 1e-9
 
     def test_more_restarts_never_hurt(self, strange):
-        few = OptimizerConfig(restarts=3, max_iterations=80, seed=4)
-        more = OptimizerConfig(restarts=9, max_iterations=80, seed=4)
+        few = OptimizerConfig(restarts=2)
+        more = OptimizerConfig(restarts=3)
         p_few = minimize_omega(0.15, strange, few)
         p_more = minimize_omega(0.15, strange, more)
         assert p_more.objective <= p_few.objective + 1e-15

@@ -83,6 +83,14 @@ class TestOperatorRoles:
         with pytest.raises(ValueError, match="spectrum"):
             Operator(d3, 2 * np.eye(3), role="effect")
 
+    @pytest.mark.parametrize("role", ["state", "effect", "unitary"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.inf)])
+    def test_checked_roles_reject_non_finite_entries(self, d3, role, value):
+        m = np.eye(3, dtype=complex) / 3
+        m[1, 1] = value
+        with pytest.raises(ValueError, match=f"{role} operator has non-finite entries"):
+            Operator(d3, m, role=role)
+
     def test_rejects_bad_shape(self, d3):
         with pytest.raises(ValueError, match="3x3"):
             Operator(d3, np.eye(4))

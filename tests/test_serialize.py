@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from magicnoise import (
     Dimension,
+    OptimizerConfig,
     canonical_mub_frame,
+    crit_threshold,
     distribution_from_dict,
     distribution_to_dict,
     dumps,
@@ -13,9 +16,11 @@ from magicnoise import (
     frame_to_dict,
     gross_wigner_frame,
     jsonable,
+    kd_threshold,
     magic_state,
     operator_from_dict,
     operator_to_dict,
+    polytope_threshold,
     represent_state,
     result_from_dict,
     result_to_dict,
@@ -63,6 +68,14 @@ class TestOperatorRoundtrip:
         with pytest.raises(ValueError):
             operator_from_dict({"d": 3, "re": [[1.0]], "im": [[0.0]], "role": "state"})
 
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_entries(self, strange, part, value):
+        data = operator_to_dict(strange)
+        data[part][1][2] = value
+        with pytest.raises(ValueError, match="state operator has non-finite entries"):
+            operator_from_dict(data)
+
 
 class TestFrameRoundtrip:
     @pytest.mark.parametrize("builder", [gross_wigner_frame, canonical_mub_frame])
@@ -91,24 +104,32 @@ class TestDistributionRoundtrip:
 
 
 class TestResultRoundtrip:
+    @staticmethod
+    def _every_method(rho) -> list:
+        one = OptimizerConfig(restarts=1)
+        return [
+            wigner_threshold(rho),
+            polytope_threshold(rho),
+            kd_threshold(rho),
+            crit_threshold(rho),
+            crit_threshold(rho, config=one, scope="subtheory"),
+        ]
+
     def test_exact_key_set_and_roundtrip(self, strange):
-        res = wigner_threshold(strange)
-        data = result_to_dict(res)
-        assert set(data) == {
-            "kind",
-            "p",
-            "upper_bound",
-            "certificate",
-            "scan",
-            "tol",
-            "seed",
-        }
-        back = result_from_dict(json.loads(dumps(data)))
-        assert back.kind == res.kind
-        assert back.p == res.p
-        assert back.upper_bound == res.upper_bound
-        assert back.scan == res.scan
-        assert back.seed is None
+        for res in self._every_method(strange):
+            data = result_to_dict(res)
+            assert set(data) == {"kind", "p", "certificate", "scan", "tol"}
+            back = result_from_dict(json.loads(dumps(data)))
+            want = dataclasses.replace(res, certificate=jsonable(res.certificate))
+            assert back == want, res.kind
+
+    def test_reads_older_reports(self, strange):
+        data = result_to_dict(wigner_threshold(strange))
+        older = {**data, "upper_bound": False, "seed": None}
+        assert result_from_dict(older) == result_from_dict(data)
+
+    def test_reruns_compare_equal(self, strange):
+        assert self._every_method(strange) == self._every_method(strange)
 
     def test_validation_report_dict(self, gross3):
         doc = validation_report_to_dict(validate_frame(gross3))

@@ -14,6 +14,7 @@ from magicnoise import (
     OptimizerConfig,
     PolytopeCertificate,
     ThresholdResult,
+    Tolerances,
     canonical_mub_frame,
     crit_threshold,
     decode_frame,
@@ -44,24 +45,24 @@ from magicnoise.thresholds import (
     _wigner_scan,
 )
 
-FAST = OptimizerConfig(restarts=4, max_iterations=150, seed=3)
+# one restart: the subtheory search then runs from the Fourier frame only
+FAST = OptimizerConfig(restarts=1)
 
 
 class TestThresholdResultType:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
-            ThresholdResult("magic", 0.5, False, {}, (), 1e-6)
+            ThresholdResult("magic", 0.5, {}, (), 1e-6)
 
     def test_rejects_out_of_range_p(self):
         with pytest.raises(ValueError):
-            ThresholdResult("wigner", 1.5, False, {}, (), 1e-6)
+            ThresholdResult("wigner", 1.5, {}, (), 1e-6)
 
 
 class TestWignerThreshold:
     def test_strange_value(self, strange):
         res = wigner_threshold(strange)
         assert res.kind == "wigner"
-        assert not res.upper_bound
         assert abs(res.p - 0.75) < 1e-9
         assert abs(res.certificate["w_min"] + 1.0 / 3.0) < 1e-12
         assert res.certificate["negative_points"] == [[0, 0]]
@@ -168,7 +169,6 @@ class TestPolytopeThreshold:
     def test_strange_coincides_with_wigner(self, strange):
         res = polytope_threshold(strange, tol=1e-6)
         assert res.kind == "polytope"
-        assert not res.upper_bound
         assert abs(res.p - 0.75) <= 2e-6
         assert res.certificate["coincidence_with_wigner"] == "CONFIRMED"
 
@@ -361,15 +361,28 @@ class TestWignerComputedOncePerAnswer:
         assert crit.certificate["per_family"]["gross"] == want
         assert crit.certificate["winner"]["p_wigner"] == want
 
+    @pytest.mark.parametrize("scope", ["state", "subtheory"])
+    def test_crit_runs_the_closed_form_once(self, strange, monkeypatch, scope):
+        closed_form = thresholds._wigner_closed_form
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return closed_form(*args, **kwargs)
+
+        monkeypatch.setattr(thresholds, "_wigner_closed_form", counted)
+        res = crit_threshold(strange, config=FAST, scope=scope)
+        assert len(calls) == 1
+        assert res.certificate["per_family"]["gross"] == wigner_threshold(strange).p
+
 
 class TestKDThreshold:
     def test_strange_state_scope_is_near_zero(self, strange):
         res = kd_threshold(strange, config=FAST, tol=1e-3)
         assert res.kind == "kd"
         assert res.p == 0.0
-        assert res.upper_bound is False
-        assert res.seed is None
         assert res.certificate["objective"] <= 1e-9
+        assert res.certificate["classification_tol"] == 1e-9
         assert res.certificate["ordering_satisfied"]
         assert res.certificate["diagnostics"] == []
 
@@ -400,24 +413,20 @@ class TestKDThreshold:
         assert res.p <= 1e-3
 
     def test_subtheory_scope_has_no_threshold(self, strange):
-        quick = OptimizerConfig(restarts=2, max_iterations=60, seed=1)
         with pytest.raises(NoThresholdError):
-            kd_threshold(strange, config=quick, scope="subtheory", tol=0.25)
+            kd_threshold(strange, config=FAST, scope="subtheory", tol=0.25)
 
     def test_no_threshold_message_names_the_floor(self, strange):
-        quick = OptimizerConfig(restarts=2, max_iterations=60, seed=1)
         with pytest.raises(NoThresholdError, match=r"subtheory_floor\(3\) = 0\.2887"):
-            kd_threshold(strange, config=quick, scope="subtheory")
+            kd_threshold(strange, config=FAST, scope="subtheory")
 
-    @pytest.mark.parametrize("scope", ["state", "subtheory"])
-    @pytest.mark.parametrize("class_tol", [0.0, -1e-9, 0.2887, 0.5, float("nan")])
-    def test_rejects_classification_tol_outside_the_floor(self, strange, scope, class_tol):
-        with pytest.raises(ValueError, match="classification_tol"):
-            kd_threshold(strange, scope=scope, classification_tol=class_tol)
-
-    def test_rejects_classification_tol_below_round_off(self, strange):
-        with pytest.raises(ValueError, match="round-off"):
-            kd_threshold(strange, classification_tol=1e-300)
+    def test_rejects_classification_tol_below_round_off(self, strange, monkeypatch):
+        # the certificate's witness is round-off, far below the default 1e-9;
+        # a tolerance below it would be an internal fault
+        tight = Tolerances(classification=1e-300)
+        monkeypatch.setattr(thresholds, "DEFAULT_TOLERANCES", tight)
+        with pytest.raises(RuntimeError, match="above classification_tol 1e-300"):
+            kd_threshold(strange)
 
     def test_scan_matches_bisection_budget(self, strange):
         res = kd_threshold(strange, config=FAST, tol=1e-2)
@@ -459,7 +468,7 @@ class TestKDStateScopeProperties:
     def test_exact_zero_with_eigenbasis_certificate(self, d, data):
         rho = data.draw(noisy_states(d))
         res = kd_threshold(rho)
-        assert res.p == 0.0 and res.upper_bound is False and res.seed is None
+        assert res.p == 0.0
         cert = res.certificate
         params = np.array(cert["frame_params"])
         a = _expm_unitary(d, params[: d * d])
@@ -561,8 +570,6 @@ class TestCritThreshold:
         res = crit_threshold(strange, config=FAST, tol=1e-3)
         assert res.kind == "crit"
         # the winning state-scope KD value is exact, and no search ran
-        assert res.upper_bound is False
-        assert res.seed is None
         assert res.certificate["family"] == "kd"
         per = res.certificate["per_family"]
         assert abs(per["gross"] - 0.75) < 1e-9
@@ -570,35 +577,27 @@ class TestCritThreshold:
         assert res.p <= per["gross"]
 
     def test_gross_only_equals_wigner(self, strange):
-        res = crit_threshold(strange, families=("gross",))
-        assert res.p == wigner_threshold(strange).p
+        # in scope subtheory gross is the only family with a threshold
+        res = crit_threshold(strange, config=FAST, scope="subtheory")
+        wigner = wigner_threshold(strange)
+        assert res.p == wigner.p
         assert res.certificate["family"] == "gross"
-        assert res.seed is None
+        assert res.certificate["per_family"] == {"gross": wigner.p, "kd": None}
+        assert res.certificate["winner"] == wigner.certificate
+        assert res.scan == wigner.scan
 
-    def test_unknown_family_rejected(self, strange):
-        with pytest.raises(ValueError):
-            crit_threshold(strange, families=("gross", "fancy"))
+    def test_tie_goes_to_gross(self, d3):
+        # a stabilizer state: both families give exactly 0
+        res = crit_threshold(magic_state("custom", d3, custom_vec=[1, 0, 0]))
+        assert res.p == 0.0
+        assert res.certificate["family"] == "gross"
+        assert res.certificate["per_family"] == {"gross": 0.0, "kd": 0.0}
 
-    @pytest.mark.parametrize("families", [("gross",), ("gross", "kd")])
+    @pytest.mark.parametrize("scope", ["state", "subtheory"])
     @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
-    def test_rejects_non_positive_tol(self, strange, families, tol):
+    def test_rejects_non_positive_tol(self, strange, scope, tol):
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            crit_threshold(strange, families=families, tol=tol)
-
-    def test_empty_families_rejected(self, strange):
-        with pytest.raises(ValueError):
-            crit_threshold(strange, families=())
-
-    def test_all_families_failing_raises(self, strange):
-        quick = OptimizerConfig(restarts=2, max_iterations=60, seed=1)
-        with pytest.raises(NoThresholdError):
-            crit_threshold(
-                strange,
-                families=("kd",),
-                config=quick,
-                scope="subtheory",
-                tol=0.25,
-            )
+            crit_threshold(strange, scope=scope, tol=tol)
 
 
 class TestMubFrameStabilizerCheck:
