@@ -142,15 +142,19 @@ def _convert(setting: Setting, value):
 
 def _resolve(args: argparse.Namespace, config: dict, settings) -> dict:
     """The value of each setting: its flag, else its config-file entry
-    (null counts as absent), else its default."""
+    (null counts as absent), else its default. A config value must convert
+    and be one of the setting's choices, as argparse demands of a flag,
+    even where a flag overrides it."""
     resolved = {}
     for setting in settings:
-        value = getattr(args, setting.name, None)
-        if value is None:
-            value = config.get(setting.name)
-        if value is None:
-            value = setting.default
-        resolved[setting.name] = None if value is None else _convert(setting, value)
+        given = (getattr(args, setting.name, None), config.get(setting.name), setting.default)
+        values = [_convert(setting, v) for v in given if v is not None]
+        for value in values:
+            if setting.choices and value not in setting.choices:
+                raise ValueError(
+                    f"unknown {setting.name} {value!r}; pick one of {setting.choices}"
+                )
+        resolved[setting.name] = values[0] if values else None
     return resolved
 
 
@@ -189,28 +193,15 @@ def _config_preamble(resolved: dict) -> list[str]:
 
 
 def _build_state(cfg: dict):
-    if cfg["state"] not in MAGIC_STATE_KINDS:
-        raise ValueError(f"unknown state kind {cfg['state']!r}")
     dim = Dimension(cfg["d"])
     vec = None if cfg["vec"] is None else _parse_vec(cfg["vec"])
     return dim, magic_state(cfg["state"], dim, custom_vec=vec)
-
-
-def _check_format(fmt: str) -> None:
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _load_config(args.config), STATE_SETTINGS + THRESHOLD_SETTINGS)
     _, rho = _build_state(cfg)
     method, scope, tol = cfg["method"], cfg["scope"], cfg["tol"]
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
-    _check_format(cfg["format"])
-    if scope not in SCOPES:
-        raise ValueError(f"unknown scope {scope!r}; pick one of {SCOPES}")
-
     opt = OptimizerConfig(restarts=cfg["restarts"])
     if method == "wigner":
         result = wigner_threshold(rho, scan_step=tol)
@@ -237,7 +228,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _load_config(args.config), STATE_SETTINGS + SCAN_SETTINGS)
     dim, rho = _build_state(cfg)
     start, stop, step = cfg["start"], cfg["stop"], cfg["step"]
-    _check_format(cfg["format"])
     if not (0.0 <= start < stop <= 1.0):
         raise ValueError("need 0 <= start < stop <= 1")
     if step <= 0:

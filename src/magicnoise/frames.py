@@ -10,6 +10,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -21,6 +22,7 @@ from .qudit import (
     WeylIndex,
     computational_basis,
     fourier_basis,
+    fourier_gate,
     weyl_operator,
 )
 
@@ -165,6 +167,118 @@ def frame_from_unitaries(u: Operator, v: Operator) -> ExactFrame:
         "v_im": v.entries.imag.tolist(),
     }
     return kd_frame(u.dim, u.entries, v.entries, descriptor=descriptor)
+
+
+@lru_cache(maxsize=None)
+def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strict upper triangle's (rows, cols) for d x d, cached per d and
+    read-only, since every caller shares them."""
+    upper = np.triu_indices(d, 1)
+    for index in upper:
+        index.setflags(write=False)
+    return upper
+
+
+def hermitian_from_params(d: int, params: np.ndarray) -> np.ndarray:
+    """H (..., d, d) from its d^2 real coordinates (..., d^2): the d
+    diagonal entries, then (Re, Im) of each strict upper entry, row-major.
+    Frame parameters and the polytope LP's rows share this layout."""
+    h = np.zeros(params.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    h[..., diag, diag] = params[..., :d]
+    rows, cols = _upper(d)
+    vals = params[..., d::2] + 1j * params[..., d + 1 :: 2]
+    h[..., rows, cols] = vals
+    h[..., cols, rows] = vals.conj()
+    return h
+
+
+def params_from_hermitian(h: np.ndarray) -> np.ndarray:
+    """The inverse of hermitian_from_params, over (..., d, d)."""
+    rows, cols = _upper(h.shape[-1])
+    upper = h[..., rows, cols]
+    pairs = np.stack([upper.real, upper.imag], axis=-1).reshape(h.shape[:-2] + (-1,))
+    return np.concatenate([np.diagonal(h, axis1=-2, axis2=-1).real, pairs], axis=-1)
+
+
+def exp_i_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(iH) for Hermitian H (..., d, d), by its eigendecomposition."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def unitary_from_params(dim: Dimension, params: np.ndarray) -> Operator:
+    """exp(iH) for the H of d^2 real parameters (hermitian_from_params);
+    the map covers all of U(d)."""
+    params = np.asarray(params, dtype=float).reshape(-1)
+    d = dim.d
+    if params.size != d * d:
+        raise ValueError(f"expected {d * d} parameters, got {params.size}")
+    h = hermitian_from_params(d, params)
+    return Operator(dim, exp_i_hermitian(h), role="unitary")
+
+
+LOG_BRANCH_SLACK = 1e-12
+
+
+def _log_unitary(u: np.ndarray) -> np.ndarray:
+    """Hermitian H with exp(iH) = U and spectrum in (-pi, pi]; an
+    eigenvalue within LOG_BRANCH_SLACK of -1 in phase gets pi, as in the
+    principal logarithm, whichever side round-off puts it on.
+
+    U is first turned by e^(-i alpha) so that -1 sits in the middle of
+    the widest gap between its eigenphases; that gap is at least 2 pi / d,
+    so 1 + U' is well conditioned. The Cayley transform
+    i (1 + U')^-1 (1 - U') is then Hermitian with U's eigenvectors, and
+    maps the eigenvalue e^(i phi) to tan(phi / 2).
+    """
+    d = u.shape[0]
+    phases = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)
+    k = np.argmax(gaps)
+    alpha = phases[k] + 0.5 * gaps[k] - np.pi
+    turned = np.exp(-1j * alpha) * u
+    eye = np.eye(d)
+    cayley = 1j * np.linalg.solve(eye + turned, eye - turned)
+    t, vecs = np.linalg.eigh(0.5 * (cayley + cayley.conj().T))
+    theta = np.mod(alpha + 2.0 * np.arctan(t) + np.pi, 2.0 * np.pi) - np.pi
+    theta[theta <= LOG_BRANCH_SLACK - np.pi] += 2.0 * np.pi
+    return (vecs * theta) @ vecs.conj().T
+
+
+def params_from_unitary(u: Operator | np.ndarray) -> np.ndarray:
+    """Inverse of unitary_from_params for a unitary Operator or d x d
+    matrix, up to round-off (the round trip is checked)."""
+    u = u.entries if isinstance(u, Operator) else u
+    params = params_from_hermitian(_log_unitary(u))
+    back = exp_i_hermitian(hermitian_from_params(u.shape[0], params))
+    if np.abs(back - u).max() > 1e-10:
+        raise RuntimeError("unitary log round trip failed")
+    return params
+
+
+def eigenbasis_frame_params(rho: Operator) -> np.ndarray:
+    """Parameters of the KD frame with A the eigenbasis of rho and B = A F
+    (F the Fourier gate), in which rho has Q_ij = lambda_i |<a_i|b_j>|^2
+    = lambda_i / d >= 0."""
+    _, eigvecs = np.linalg.eigh(rho.entries)
+    return np.concatenate(
+        [
+            params_from_unitary(eigvecs),
+            params_from_unitary(eigvecs @ fourier_gate(rho.dim).entries),
+        ]
+    )
+
+
+def decode_frame(dim: Dimension, params: np.ndarray) -> ExactFrame:
+    """Split a 2 d^2 vector into two unitaries and build their KD frame."""
+    params = np.asarray(params, dtype=float).reshape(-1)
+    d2 = dim.d ** 2
+    if params.size != 2 * d2:
+        raise ValueError(f"expected {2 * d2} parameters, got {params.size}")
+    return frame_from_unitaries(
+        unitary_from_params(dim, params[:d2]), unitary_from_params(dim, params[d2:])
+    )
 
 
 def canonical_mub_frame(dim: Dimension) -> ExactFrame:

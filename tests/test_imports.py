@@ -1,9 +1,12 @@
-"""No module of the package imports a name that it never uses."""
+"""No module of the package imports a name that it never uses, or a
+private name of a sibling module; __init__ exports what it imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import magicnoise
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "magicnoise"
 # __init__.py re-exports the public API; of the other modules, only
@@ -42,3 +45,47 @@ def test_no_unused_imports(path):
     allowed = REEXPORTS.get(path.name, set())
     unused = [name for name in unused_imports(path.read_text()) if name not in allowed]
     assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+def private_imports(source: str) -> list[str]:
+    """Single-underscore names that a module imports from its own package
+    (dunders such as __version__ are allowed)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "magicnoise"
+        ):
+            found += [
+                a.name
+                for a in node.names
+                if a.name.startswith("_") and not a.name.endswith("__")
+            ]
+    return sorted(found)
+
+
+def test_finds_a_private_import():
+    source = (
+        "from . import __version__\n"
+        "from .frames import _upper, decode_frame\n"
+        "from magicnoise.optimize import _Objective\n"
+        "from numpy import _private_but_foreign\n"
+    )
+    assert private_imports(source) == ["_Objective", "_upper"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_private_names_from_sibling_modules(path):
+    private = private_imports(path.read_text())
+    assert private == [], f"{path.name} imports private names {private}"
+
+
+def test_all_lists_exactly_what_init_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    assert len(magicnoise.__all__) == len(set(magicnoise.__all__))
+    assert set(magicnoise.__all__) == imported | {"__version__"}

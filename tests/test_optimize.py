@@ -2,9 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from scipy.linalg import expm, logm
 
 from magicnoise import (
     Dimension,
@@ -12,19 +9,16 @@ from magicnoise import (
     Operator,
     OptimizerConfig,
     decode_frame,
-    fourier_gate,
     minimize_omega,
     nelder_mead,
     params_from_unitary,
     random_state,
-    random_unitary,
     subtheory_floor,
-    unitary_from_params,
     validate_frame,
 )
 from magicnoise import optimize
 from magicnoise.frames import OVERLAP_FLOOR
-from magicnoise.optimize import SIMPLEX_SCALE, _log_unitary, _Objective
+from magicnoise.optimize import SIMPLEX_SCALE, _Objective
 
 SMALL = OptimizerConfig(restarts=2)
 
@@ -50,92 +44,6 @@ class TestOptimizerConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError, match="restarts must be a positive integer"):
             OptimizerConfig(**kwargs)
-
-
-class TestUnitaryParametrization:
-    @given(st.integers(0, 500))
-    def test_roundtrip_random_unitaries(self, seed):
-        dim = Dimension(3)
-        u = random_unitary(dim, seed)
-        params = params_from_unitary(u)
-        back = unitary_from_params(dim, params)
-        assert np.abs(back.entries - u.entries).max() < 1e-10
-
-    @given(st.integers(0, 500))
-    def test_params_always_give_unitary(self, seed):
-        dim = Dimension(3)
-        rng = np.random.default_rng(seed)
-        params = rng.normal(0.0, 2.0, size=9)
-        u = unitary_from_params(dim, params)
-        assert u.role == "unitary"
-
-    def test_zero_params_is_identity(self):
-        dim = Dimension(3)
-        u = unitary_from_params(dim, np.zeros(9))
-        assert np.abs(u.entries - np.eye(3)).max() < 1e-14
-
-    def test_wrong_size_rejected(self):
-        with pytest.raises(ValueError):
-            unitary_from_params(Dimension(3), np.zeros(8))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_decode_frame_is_valid(self, seed):
-        dim = Dimension(3)
-        rng = np.random.default_rng(seed)
-        frame = decode_frame(dim, rng.normal(0.0, 0.5, size=18))
-        assert validate_frame(frame).passed
-
-    def test_decode_frame_wrong_size(self):
-        with pytest.raises(ValueError):
-            decode_frame(Dimension(3), np.zeros(17))
-
-
-def _unitary_cases(d: int, seed: int) -> list[np.ndarray]:
-    """A Haar-random unitary, the eigenbasis of a random state, and each
-    times the Fourier gate."""
-    dim = Dimension(d)
-    f = fourier_gate(dim).entries
-    u = random_unitary(dim, seed).entries
-    _, v = np.linalg.eigh(random_state(dim, seed).entries)
-    return [u, v, u @ f, v @ f]
-
-
-class TestUnitaryLog:
-    def _check(self, u: np.ndarray) -> np.ndarray:
-        h = _log_unitary(u)
-        assert np.abs(h - h.conj().T).max() <= 1e-14
-        spectrum = np.linalg.eigvalsh(h)
-        assert -np.pi - 1e-12 < spectrum.min() and spectrum.max() <= np.pi + 1e-12
-        assert np.abs(expm(1j * h) - u).max() <= 1e-13
-        dim = Dimension(u.shape[0])
-        params = params_from_unitary(Operator(dim, u, role="unitary"))
-        assert np.abs(unitary_from_params(dim, params).entries - u).max() <= 1e-13
-        return h
-
-    @pytest.mark.parametrize("d", [3, 5, 7])
-    @given(st.integers(0, 2**32 - 1))
-    def test_round_trip(self, d, seed):
-        for u in _unitary_cases(d, seed):
-            self._check(u)
-
-    @pytest.mark.parametrize("d", [3, 5, 7])
-    def test_identity_and_fourier_powers(self, d):
-        eye = np.eye(d)
-        assert np.abs(self._check(eye)).max() <= 1e-15
-        assert np.abs(self._check(-eye) - np.pi * eye).max() <= 1e-14
-        f = fourier_gate(Dimension(d)).entries
-        for power in (f, f @ f, f @ f @ f):
-            self._check(power)
-
-    @pytest.mark.parametrize("d", [3, 5, 7])
-    @given(st.integers(0, 2**32 - 1))
-    def test_matches_logm_where_the_principal_log_is_unique(self, d, seed):
-        for u in _unitary_cases(d, seed):
-            if np.abs(np.linalg.eigvals(u) + 1.0).min() < 1e-6:
-                continue  # an eigenvalue at -1 has two principal logs
-            gen = logm(u)
-            want = (gen - gen.conj().T) / 2j
-            assert np.abs(_log_unitary(u) - want).max() <= 1e-12
 
 
 class TestNelderMead:

@@ -255,6 +255,10 @@ def noisy_states(draw, d):
     state: small weights keep magic, large ones land inside the polytope."""
     seed = draw(st.integers(0, 2**32 - 1))
     mix = draw(st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.9]))
+    return _noisy_state(d, seed, mix)
+
+
+def _noisy_state(d: int, seed: int, mix: float) -> Operator:
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi /= np.linalg.norm(psi)
@@ -287,6 +291,14 @@ class TestPolytopeLPProperties:
         # so W separates every less noisy state from the polytope
         for q in (0.0, 0.5 * res.p):
             assert np.trace(w @ depolarize(rho, q).entries).real >= res.p - q - 1e-9
+
+    def test_round_off_pivot_is_refused(self):
+        # at pivot 185 of this LP the entering column has an entry of
+        # 1.2e-11, the round-off of a zero; pivoting on it leaves a
+        # singular basis that cycles until MAX_PIVOTS
+        rho = _noisy_state(7, 730295, 0.1)
+        res = polytope_threshold(rho)
+        assert abs(res.p - _highs_polytope_threshold(rho.entries)) <= 1e-9
 
 
 def _bits(scan: tuple) -> list:
@@ -376,6 +388,13 @@ class TestWignerComputedOncePerAnswer:
         assert res.certificate["per_family"]["gross"] == wigner_threshold(strange).p
 
 
+# Certificate keys of the KD ordering check, which could never fire (p is
+# exactly 0), and the recheck that always equalled the objective.
+DELETED_KD_KEYS = {
+    "gap_tolerance", "ordering_satisfied", "diagnostics", "witness_recheck"
+}
+
+
 class TestKDThreshold:
     def test_strange_state_scope_is_near_zero(self, strange):
         res = kd_threshold(strange, config=FAST, tol=1e-3)
@@ -383,13 +402,7 @@ class TestKDThreshold:
         assert res.p == 0.0
         assert res.certificate["objective"] <= 1e-9
         assert res.certificate["classification_tol"] == 1e-9
-        assert res.certificate["ordering_satisfied"]
-        assert res.certificate["diagnostics"] == []
-
-    def test_exactly_one_ordering_outcome(self, strange):
-        res = kd_threshold(strange, config=FAST, tol=1e-3)
-        gap = "POTENTIAL_GAP" in res.certificate["diagnostics"]
-        assert res.certificate["ordering_satisfied"] != gap
+        assert not DELETED_KD_KEYS & set(res.certificate)
 
     def test_certificate_reverifies(self, strange):
         res = kd_threshold(strange, config=FAST, tol=1e-3)
@@ -397,7 +410,7 @@ class TestKDThreshold:
         opset = standard_operational_set(strange, res.p)
         value = omega(res.p, frame, opset, scope="state")
         assert abs(value - res.certificate["objective"]) < 1e-9
-        assert abs(value - res.certificate["witness_recheck"]) < 1e-9
+        assert not DELETED_KD_KEYS & set(res.certificate)
 
     def test_mixed_state_certificate_is_canonical_frame(self, d3):
         res = kd_threshold(maximally_mixed(d3), config=FAST, tol=1e-3)
@@ -609,6 +622,7 @@ class TestMubFrameStabilizerCheck:
         defining = [e for e in report["per_state"] if e["defining_basis"]]
         others = [e for e in report["per_state"] if not e["defining_basis"]]
         assert len(defining) == 6 and len(others) == 6
+        assert report["classification_tol"] == 1e-12
 
     def test_qutrit_beyond_defining_bases_penalty(self, d3):
         report = mub_frame_stabilizer_check(d3)
