@@ -45,7 +45,7 @@ def main() -> int:
 
     results = {}
     for name, run in (
-        ("wigner", lambda: wigner_threshold(rho)),
+        ("wigner", lambda: wigner_threshold(rho, tol=args.tol)),
         ("polytope", lambda: polytope_threshold(rho, tol=args.tol)),
         ("kd", lambda: kd_threshold(rho, tol=args.tol)),
         ("crit", lambda: crit_threshold(rho, tol=args.tol)),

@@ -27,6 +27,7 @@ from .optimize import NoThresholdError, OptimizerConfig
 from .qudit import MAGIC_STATE_KINDS, Dimension, depolarize, magic_state
 from .representations import penalty, represent_state
 from .serialize import (
+    as_int,
     dumps,
     frame_from_dict,
     result_to_dict,
@@ -73,7 +74,7 @@ THRESHOLD_SETTINGS = (
     _FORMAT,
     Setting("method", str, "wigner", "threshold definition to use", METHODS),
     Setting("scope", str, "state", "what the KD witness must classicalize", SCOPES),
-    Setting("tol", float, 1e-6, "Wigner grid step; recorded otherwise"),
+    Setting("tol", float, 1e-6, "resolution recorded in the result"),
     Setting("restarts", int, 32, "frame-search restarts"),
 )
 SCAN_SETTINGS = (
@@ -126,14 +127,13 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _convert(setting: Setting, value):
-    """value as setting.kind, naming the setting if it cannot be. Numbers
-    refuse bools, and integers refuse the fractional and non-finite floats
-    that int() would truncate or fail on."""
+    """value as setting.kind, naming the setting if it cannot be: integers
+    follow serialize.as_int, and numbers refuse bools."""
     kind = setting.kind
-    fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    if fractional or kind in (int, float) and isinstance(value, bool):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{setting.name} must be {what}, got {value!r}")
+    if kind is int:
+        return as_int(setting.name, value)
+    if kind is float and isinstance(value, bool):
+        raise ValueError(f"{setting.name} must be a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -204,7 +204,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     method, scope, tol = cfg["method"], cfg["scope"], cfg["tol"]
     opt = OptimizerConfig(restarts=cfg["restarts"])
     if method == "wigner":
-        result = wigner_threshold(rho, scan_step=tol)
+        result = wigner_threshold(rho, tol=tol)
     elif method == "polytope":
         result = polytope_threshold(rho, tol=tol)
     elif method == "kd":

@@ -3,7 +3,9 @@ magic states, and the depolarizing channel map for odd prime dimensions."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -26,7 +28,7 @@ class Tolerances:
     construction: residual allowed when checking structural facts at build
         time (hermiticity, unitarity, trace normalization).
     validation:   residual allowed when re-checking derived invariants
-        (frame axioms, eigenvector residuals, positivity floors).
+        (frame axioms, orthonormal bases, positivity floors).
     classification: threshold below which a certificate's witness value
         counts as zero when deciding classicality.
     """
@@ -41,15 +43,21 @@ DEFAULT_TOLERANCES = Tolerances()
 
 @dataclass(frozen=True)
 class Dimension:
-    """A supported odd prime Hilbert-space dimension."""
+    """A supported odd prime Hilbert-space dimension. Any integer type but
+    bool is accepted (operator.index) and stored as a Python int."""
 
     d: int
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d not in SUPPORTED_DIMENSIONS:
+        try:
+            d = operator.index(self.d)
+        except TypeError:
+            d = None
+        if isinstance(self.d, bool) or d not in SUPPORTED_DIMENSIONS:
             raise UnsupportedDimensionError(
                 f"dimension must be one of {SUPPORTED_DIMENSIONS}, got {self.d!r}"
             )
+        object.__setattr__(self, "d", d)
 
     @property
     def omega(self) -> complex:
@@ -192,6 +200,18 @@ def fourier_basis(dim: Dimension) -> np.ndarray:
     return fourier_gate(dim).entries.copy()
 
 
+def orthonormal_basis(dim: Dimension, mat, name: str) -> np.ndarray:
+    """mat as a complex d x d matrix whose columns are orthonormal, within
+    DEFAULT_TOLERANCES.validation; a ValueError names the basis if not."""
+    arr = np.asarray(mat, dtype=complex)
+    if arr.shape != (dim.d, dim.d):
+        raise ValueError(f"basis {name} must be a {dim.d}x{dim.d} column matrix")
+    residual = np.abs(arr.conj().T @ arr - np.eye(dim.d)).max()
+    if not residual <= DEFAULT_TOLERANCES.validation:  # a NaN entry fails too
+        raise ValueError(f"basis {name} is not orthonormal")
+    return arr
+
+
 def _mub_basis(dim: Dimension, a: int) -> np.ndarray:
     """Eigenbasis of X Z^a: column b has components w^(a x^2 / 2 + b x) / sqrt(d).
 
@@ -221,6 +241,8 @@ class StabilizerStateSet:
 
     basis_vectors holds d+1 unitary matrices whose columns are the state
     vectors; groups holds the corresponding rank-1 projectors as Operators.
+    Their counts, unbiasedness and Weyl eigenvectors are facts of the
+    construction in stabilizer_states, checked by the tests, not here.
     """
 
     dim: Dimension
@@ -228,66 +250,37 @@ class StabilizerStateSet:
     groups: tuple[tuple[Operator, ...], ...]
 
     def __post_init__(self):
-        d = self.dim.d
-        vt = DEFAULT_TOLERANCES.validation
-        frozen = []
-        for basis in self.basis_vectors:
-            arr = np.array(basis, dtype=complex)
+        frozen = tuple(np.array(basis, dtype=complex) for basis in self.basis_vectors)
+        for arr in frozen:
             arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "basis_vectors", tuple(frozen))
-        if len(self.basis_vectors) != d + 1:
-            raise ValueError(f"expected {d + 1} bases, got {len(self.basis_vectors)}")
-        if len(self.groups) != d + 1 or any(len(g) != d for g in self.groups):
-            raise ValueError("projector groups must mirror the d+1 bases of d states")
-        for k, basis in enumerate(self.basis_vectors):
-            gram = basis.conj().T @ basis
-            if np.abs(gram - np.eye(d)).max() > DEFAULT_TOLERANCES.construction:
-                raise ValueError(f"basis {k} is not orthonormal")
-        for j in range(d + 1):
-            for k in range(j + 1, d + 1):
-                ov = np.abs(self.basis_vectors[j].conj().T @ self.basis_vectors[k]) ** 2
-                if np.abs(ov - 1.0 / d).max() > DEFAULT_TOLERANCES.construction:
-                    raise ValueError(f"bases {j} and {k} are not mutually unbiased")
-        for k, basis in enumerate(self.basis_vectors):
-            widx = stabilizing_weyl_index(self.dim, k)
-            wop = weyl_operator(self.dim, widx).entries
-            roots = self.dim.omega ** np.arange(d)
-            for b in range(d):
-                v = basis[:, b]
-                wv = wop @ v
-                resid = min(np.linalg.norm(wv - r * v) for r in roots)
-                if resid > vt:
-                    raise ValueError(
-                        f"state {b} of basis {k} is not a Weyl eigenvector "
-                        f"(residual {resid:.3e})"
-                    )
+        object.__setattr__(self, "basis_vectors", frozen)
 
     @property
     def states(self) -> tuple[Operator, ...]:
         """All d(d+1) projectors, flattened basis by basis."""
         return tuple(op for group in self.groups for op in group)
 
-    def __len__(self) -> int:
-        return self.dim.d * (self.dim.d + 1)
-
 
 def stabilizer_states(dim: Dimension) -> StabilizerStateSet:
-    """Enumerate the stabilizer states of one qudit of odd prime dimension.
+    """The stabilizer states of one qudit of odd prime dimension, built
+    once per d and shared (the set is immutable).
 
     Bases: the computational basis followed by the eigenbases of X Z^a for
     a = 0 .. d-1 (the a = 0 case is the Fourier basis).
     """
+    return _stabilizer_states(dim.d)
+
+
+@lru_cache(maxsize=None)
+def _stabilizer_states(d: int) -> StabilizerStateSet:
+    dim = Dimension(d)
     bases = [computational_basis(dim)]
-    bases.extend(_mub_basis(dim, a) for a in range(dim.d))
-    groups = []
-    for basis in bases:
-        ops = tuple(
-            Operator(dim, np.outer(basis[:, b], basis[:, b].conj()), role="state")
-            for b in range(dim.d)
-        )
-        groups.append(ops)
-    return StabilizerStateSet(dim, tuple(bases), tuple(groups))
+    bases.extend(_mub_basis(dim, a) for a in range(d))
+    groups = tuple(
+        tuple(Operator(dim, np.outer(v, v.conj()), role="state") for v in basis.T)
+        for basis in bases
+    )
+    return StabilizerStateSet(dim, tuple(bases), groups)
 
 
 MAGIC_STATE_KINDS = ("strange", "norrell", "custom")

@@ -20,6 +20,7 @@ from .qudit import (
     WeylIndex,
     clifford_generators,
     depolarize,
+    orthonormal_basis,
     stabilizer_states,
     weyl_operator,
 )
@@ -211,15 +212,6 @@ def represent_channel(
     return QuasiDistribution(labels, values, "channel")
 
 
-def _check_basis(dim: Dimension, mat: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(mat, dtype=complex)
-    if arr.shape != (dim.d, dim.d):
-        raise ValueError(f"basis {name} must be {dim.d}x{dim.d}")
-    if np.abs(arr.conj().T @ arr - np.eye(dim.d)).max() > DEFAULT_TOLERANCES.validation:
-        raise ValueError(f"basis {name} is not orthonormal")
-    return arr
-
-
 def kd_matrix(
     rho: Operator, basis_a: np.ndarray, basis_b: np.ndarray
 ) -> QuasiDistribution:
@@ -229,8 +221,8 @@ def kd_matrix(
     basis B, and the total sum is Tr(rho) = 1.
     """
     dim = rho.dim
-    a = _check_basis(dim, basis_a, "A")
-    b = _check_basis(dim, basis_b, "B")
+    a = orthonormal_basis(dim, basis_a, "A")
+    b = orthonormal_basis(dim, basis_b, "B")
     values = (a.conj().T @ rho.entries @ b) * (b.conj().T @ a).T
     labels = tuple((i, j) for i in range(dim.d) for j in range(dim.d))
     return QuasiDistribution(labels, values.reshape(-1), "state")
@@ -248,7 +240,7 @@ def kd_sequential(rho: Operator, bases: Sequence[np.ndarray]) -> QuasiDistributi
     dim = rho.dim
     if len(bases) < 1:
         raise ValueError("need at least one basis")
-    mats = [_check_basis(dim, m, f"#{k}") for k, m in enumerate(bases)]
+    mats = [orthonormal_basis(dim, m, f"#{k}") for k, m in enumerate(bases)]
     k = len(mats)
     d = dim.d
     # chain[t][i_(t+1), i_t] = <a^(t+1)_(i_(t+1)) | a^t_(i_t)>
@@ -312,13 +304,6 @@ def kd_negativity(dist: QuasiDistribution) -> float:
     return float(1.0 - np.abs(dist.flat()).sum())
 
 
-def negativity_magnitude(dist: QuasiDistribution) -> float:
-    """Non-negative companion of kd_negativity: sum |values| - 1 >= 0."""
-    if dist.subject != "state":
-        raise ValueError("negativity is defined for state distributions")
-    return float(np.abs(dist.flat()).sum() - 1.0)
-
-
 def _penalties(values: np.ndarray, axis) -> np.ndarray:
     return np.abs(values.imag).sum(axis) + np.abs(np.minimum(0.0, values.real)).sum(axis)
 
@@ -340,13 +325,6 @@ def subtheory_witness(fs: np.ndarray, ds: np.ndarray, opset: OperationalSet) -> 
     singles = np.concatenate([fv @ states, dv @ effects], axis=1)
     gammas = fv @ supers @ dv.T
     return float(max(_penalties(singles, 0).max(), _penalties(gammas, (1, 2)).max()))
-
-
-def is_classical(dist: QuasiDistribution, tol: float = 1e-12) -> bool:
-    """True when every entry is real non-negative within the classification
-    tolerance."""
-    v = dist.flat()
-    return bool(np.abs(v.imag).max() < tol and v.real.min() > -tol)
 
 
 def omega(

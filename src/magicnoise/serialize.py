@@ -54,8 +54,29 @@ def operator_to_dict(op: Operator) -> dict:
     }
 
 
+def as_int(name: str, value) -> int:
+    """value as an int, naming name if it is not one: bools and the floats
+    int() would truncate or fail on are refused, but 3.0 reads as 3."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
+def _require(data, what: str, keys: Sequence[str]) -> None:
+    """Check that data is a JSON object holding every one of keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} has no key {key!r}")
+
+
 def operator_from_dict(data: dict) -> Operator:
-    d = int(data["d"])
+    _require(data, "operator", ("d", "re", "im"))
+    d = as_int("d", data["d"])
     re = np.array(data["re"], dtype=float)
     im = np.array(data["im"], dtype=float)
     role = str(data.get("role", "generic"))
@@ -87,7 +108,8 @@ def frame_to_dict(frame: ExactFrame) -> dict:
 
 
 def frame_from_dict(data: dict) -> ExactFrame:
-    d = int(data["d"])
+    _require(data, "frame", ("d", "F", "D"))
+    d = as_int("d", data["d"])
     dim = Dimension(d)
     analysis = _operators(data, "F")
     synthesis = _operators(data, "D")

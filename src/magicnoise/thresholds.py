@@ -1,8 +1,7 @@
 """Decoherence thresholds for magic-state nonclassicality.
 
 Four routes to "how much depolarizing noise makes the state classical":
-  wigner_threshold    closed form from the most negative Wigner value,
-                      checked against a grid in O(d^2) operations
+  wigner_threshold    closed form from the most negative Wigner value
   polytope_threshold  one exact LP against the stabilizer polytope, with a
                       decomposition and a separating witness as certificate
   kd_threshold        Kirkwood-Dirac: exactly 0 in scope "state", certified
@@ -46,8 +45,6 @@ from .simplex import SimplexError, solve_lp
 LP_ACCURACY = 1e-9
 # A p this far outside [0, 1] is round-off and is clamped back.
 ROUND_OFF = 1e-12
-# Wigner values down to -GRID_FLOOR count as non-negative in the grid check.
-GRID_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,10 +77,7 @@ def _gross_frame(d: int) -> ExactFrame:
 def gross_representation_values(rho: Operator) -> np.ndarray:
     """Real Wigner-type distribution values of a state (order: row-major
     phase-space labels)."""
-    vals = represent_state(_gross_frame(rho.dim.d), rho).flat()
-    if np.abs(vals.imag).max() > DEFAULT_TOLERANCES.validation:
-        raise RuntimeError("Wigner values came out complex; frame is broken")
-    return vals.real.copy()
+    return represent_state(_gross_frame(rho.dim.d), rho).flat().real.copy()
 
 
 def _negative_part(values: np.ndarray) -> float:
@@ -124,55 +118,10 @@ def _polytope_scan(p_star: float) -> tuple:
     return tuple(zip(q.tolist(), need.tolist()))
 
 
-def _grid_check(w: np.ndarray, d2: int, p_star: float, scan_step: float) -> float:
-    """First point of np.linspace(0, 1, steps + 1), steps = 1/scan_step,
-    where every value (1-p) w + p/d^2 is at least -GRID_FLOOR, checked
-    against the closed form p_star.
-
-    The minimum over the values is concave in p and positive at p = 1, so
-    the passing points are a tail of the grid. The entry w_min crosses
-    -GRID_FLOOR at a, so the tail starts at k = ceil(a steps) when point k
-    passes and point k-1 fails; should round-off move k, a bisection over
-    the rest of the grid finds the start. Points are evaluated with
-    linspace's own arithmetic, k * (1/steps), so the result is the one a
-    scan of the whole grid would give, without allocating it. The floor
-    lets the grid pass up to GRID_FLOOR * d^2 before p_star, which the
-    comparison allows for.
-    """
-    if not (0.0 < scan_step <= 1.0 and math.isfinite(1.0 / scan_step)):
-        raise ValueError(f"scan step must lie in (0, 1], got {scan_step}")
-    steps = int(round(1.0 / scan_step))
-
-    def point(k: int) -> float:
-        return 1.0 if k == steps else k * (1.0 / steps)
-
-    def passes(k: int) -> bool:
-        p = point(k)
-        return bool(((1.0 - p) * w + p / d2).min() >= -GRID_FLOOR)
-
-    w_min = float(w.min())
-    a = 0.0 if w_min >= -GRID_FLOOR else (-GRID_FLOOR - w_min) / (1.0 / d2 - w_min)
-    k = min(math.ceil(a * steps), steps)
-    lo, hi = -1, steps  # lo fails (or is -1), hi passes: p = 1 always does
-    for probe in (k, k - 1):
-        if lo < probe < hi:
-            lo, hi = (lo, probe) if passes(probe) else (probe, hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
-    p_grid = point(hi)
-    if not -(scan_step + GRID_FLOOR * d2) <= p_grid - p_star <= scan_step + 1e-9:
-        raise RuntimeError(f"closed form {p_star} disagrees with grid scan {p_grid}")
-    return p_grid
-
-
-def _wigner_closed_form(
-    rho_m: Operator, scan_step: float = 1e-6
-) -> tuple[float, np.ndarray, float]:
-    """(p*, w, p_grid): the Wigner threshold p* of rho_m in closed form,
-    the Wigner values w it comes from, and the first passing point of the
-    grid check that confirms it. All that wigner_threshold computes beyond
-    this is the report; the other thresholds record p* from here.
+def _wigner_closed_form(rho_m: Operator) -> tuple[float, np.ndarray]:
+    """(p*, w): the Wigner threshold p* of rho_m in closed form and the
+    Wigner values w it comes from. All that wigner_threshold computes
+    beyond this is the report; the other thresholds record p* from here.
     """
     d2 = rho_m.dim.d ** 2
     w = gross_representation_values(rho_m)
@@ -182,36 +131,36 @@ def _wigner_closed_form(
         p_star = 0.0
     else:
         p_star = d2 * abs(w_min) / (1.0 + d2 * abs(w_min))
-    return p_star, w, _grid_check(w, d2, p_star, scan_step)
+    return p_star, w
 
 
-def wigner_threshold(rho_m: Operator, scan_step: float = 1e-6) -> ThresholdResult:
+def wigner_threshold(rho_m: Operator, tol: float = 1e-6) -> ThresholdResult:
     """Noise level where the depolarized state's Wigner distribution turns
     non-negative.
 
     Every value moves affinely, (1-p) w + p/d^2, so the binding entry is
     the minimum w and the threshold is d^2 |w_min| / (1 + d^2 |w_min|)
-    (zero when w_min >= 0). The closed form is cross-checked against the
-    first non-negative point of the grid of step scan_step (_grid_check).
+    (zero when w_min >= 0; Gross, J. Math. Phys. 47, 122107, 2006). tol is
+    recorded in the result for callers that pass a resolution; the closed
+    form does not use it.
     """
+    _check_tol(tol)
     dim = rho_m.dim
     d2 = dim.d ** 2
-    p_star, w, p_grid = _wigner_closed_form(rho_m, scan_step)
+    p_star, w = _wigner_closed_form(rho_m)
     rep_at_threshold = (1.0 - p_star) * w + p_star / d2
-    labels = [(k // dim.d, k % dim.d) for k in range(d2)]
     certificate = {
         "frame": {"kind": "gross"},
         "w_min": float(w.min()),
         "witness": _negative_part(rep_at_threshold),
         "representation_re": rep_at_threshold.tolist(),
         "negative_points": [
-            list(labels[k])
+            list(divmod(int(k), dim.d))
             for k in np.flatnonzero(w < -DEFAULT_TOLERANCES.construction)
         ],
-        "grid_check": p_grid,
     }
     scan = _wigner_scan(w, d2, p_star)
-    return ThresholdResult("wigner", p_star, certificate, scan, scan_step)
+    return ThresholdResult("wigner", p_star, certificate, scan, tol)
 
 
 @dataclass(frozen=True)
@@ -246,10 +195,8 @@ class PolytopeCertificate:
         }
 
 
-@lru_cache(maxsize=None)
 def _stabilizer_projectors(d: int) -> np.ndarray:
-    stab = stabilizer_states(Dimension(d))
-    return np.stack([op.entries for op in stab.states])
+    return np.stack([op.entries for op in stabilizer_states(Dimension(d)).states])
 
 
 @lru_cache(maxsize=None)

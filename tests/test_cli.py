@@ -129,7 +129,8 @@ class TestThresholdCommand:
         assert f"error: unrecognized arguments: {flag}" in proc.stderr
 
     @pytest.mark.parametrize(
-        "method, tol", [("kd", "-0.001"), ("crit", "-0.001"), ("kd", "nan")]
+        "method, tol",
+        [("kd", "-0.001"), ("crit", "-0.001"), ("kd", "nan"), ("wigner", "0"), ("wigner", "nan")],
     )
     def test_non_positive_tol_exits_1(self, method, tol):
         proc = run_cli("threshold", "--method", method, f"--tol={tol}")
@@ -164,7 +165,7 @@ class TestThresholdCommand:
         assert with_i.returncode == 0, with_i.stderr
         assert json.loads(with_i.stdout)["result"] == json.loads(with_j.stdout)["result"]
 
-    @pytest.mark.parametrize("method", ["polytope", "kd", "crit"])
+    @pytest.mark.parametrize("method", ["wigner", "polytope", "kd", "crit"])
     def test_non_finite_tol_exits_1(self, method):
         proc = run_cli("threshold", "--method", method, "--tol", "inf")
         assert proc.returncode == 1
@@ -177,14 +178,20 @@ class TestThresholdCommand:
         assert "--vec" in proc.stderr
 
     def test_wigner_fine_tol_gives_the_closed_form(self):
-        # a grid of step 1e-12 would hold 10^12 points; the check reads two
         proc = run_cli("threshold", "--method", "wigner", "--tol", "1e-12")
         assert proc.returncode == 0, proc.stderr
         res = json.loads(proc.stdout)["result"]
         strange = magicnoise.magic_state("strange", magicnoise.Dimension(3))
         assert res["p"] == magicnoise.wigner_threshold(strange).p
         assert res["tol"] == 1e-12
-        assert abs(res["certificate"]["grid_check"] - res["p"]) < 1e-10
+        assert "grid_check" not in res["certificate"]
+
+    def test_wigner_accepts_tol_above_1(self):
+        # tol is recorded only, as for the other methods
+        proc = run_cli("threshold", "--method", "wigner", "--tol", "2.5")
+        assert proc.returncode == 0, proc.stderr
+        res = json.loads(proc.stdout)["result"]
+        assert abs(res["p"] - 0.75) < 1e-12 and res["tol"] == 2.5
 
     @pytest.mark.parametrize(
         "args",
@@ -414,6 +421,56 @@ class TestValidateCommand:
             "magicnoise: error: frame operator D[4]: generic operator has "
             "non-finite entries\n"
         )
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("d=3.7", "d must be an integer, got 3.7"),
+            ("d=True", "d must be an integer, got True"),
+            ("operator d=3.2", "frame operator F[0]: d must be an integer, got 3.2"),
+            ("no F", "frame has no key 'F'"),
+            ("no D[2].re", "frame operator D[2]: operator has no key 're'"),
+            ("list", "frame must be a JSON object, not list"),
+        ],
+    )
+    def test_malformed_frame_file_exits_1(self, tmp_path, case, message):
+        from magicnoise import Dimension, frame_to_dict, gross_wigner_frame
+
+        data = frame_to_dict(gross_wigner_frame(Dimension(3)))
+        if case == "d=3.7":
+            data["d"] = 3.7
+        elif case == "d=True":
+            data["d"] = True
+        elif case == "operator d=3.2":
+            for op in data["F"] + data["D"]:
+                op["d"] = 3.2
+        elif case == "no F":
+            del data["F"]
+        elif case == "no D[2].re":
+            del data["D"][2]["re"]
+        else:
+            data = [data]
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(data))
+        proc = run_cli("validate", "--frame", str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"magicnoise: error: {message}\n"
+
+    @pytest.mark.parametrize("d", [3.0, "3"])
+    def test_frame_file_d_follows_the_config_integer_rule(self, tmp_path, d):
+        # as in a config file, 3.0 and "3" read as 3
+        from magicnoise import Dimension, frame_to_dict, gross_wigner_frame
+
+        data = frame_to_dict(gross_wigner_frame(Dimension(3)))
+        data["d"] = d
+        for op in data["F"] + data["D"]:
+            op["d"] = d
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(data))
+        proc = run_cli("validate", "--frame", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["passed"] is True
 
     def test_unparseable_file_exit_1(self, tmp_path):
         path = tmp_path / "frame.json"

@@ -18,6 +18,7 @@ from magicnoise import (
     frame_from_unitaries,
     gross_wigner_frame,
     kd_frame,
+    kd_matrix,
     magic_state,
     params_from_unitary,
     phase_point_operators,
@@ -119,6 +120,15 @@ class TestKDFrame:
         bad[:, 0] *= 2.0
         with pytest.raises(ValueError):
             kd_frame(d3, bad, fourier_basis(d3))
+
+    def test_kd_frame_and_kd_matrix_reject_a_nan_basis(self, d3, strange):
+        # both go through qudit.orthonormal_basis
+        bad = computational_basis(d3)
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="basis A is not orthonormal"):
+            kd_frame(d3, bad, fourier_basis(d3))
+        with pytest.raises(ValueError, match="basis A is not orthonormal"):
+            kd_matrix(strange, bad, fourier_basis(d3))
 
     @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
     @pytest.mark.parametrize("seed", range(5))

@@ -52,6 +52,17 @@ class TestDimension:
         with pytest.raises(UnsupportedDimensionError):
             Dimension(d)
 
+    @pytest.mark.parametrize("d", [np.int64(3), np.int32(5), np.uint8(7)])
+    def test_numpy_integers_are_stored_as_int(self, d):
+        dim = Dimension(d)
+        assert type(dim.d) is int and dim.d == d
+        assert dim == Dimension(int(d)) and hash(dim) == hash(Dimension(int(d)))
+
+    @pytest.mark.parametrize("d", [True, np.True_, 3.0, np.float64(5.0), "3", None])
+    def test_non_integers_are_unsupported(self, d):
+        with pytest.raises(UnsupportedDimensionError, match="dimension must be one of"):
+            Dimension(d)
+
 
 class TestOperatorRoles:
     def test_state_accepts_density_matrix(self, d3):

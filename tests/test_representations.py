@@ -17,7 +17,6 @@ from magicnoise import (
     fourier_basis,
     gross_wigner_frame,
     identity_channel,
-    is_classical,
     kd_frame,
     kd_matrix,
     kd_negativity,
@@ -25,7 +24,6 @@ from magicnoise import (
     kd_sequential,
     magic_state,
     maximally_mixed,
-    negativity_magnitude,
     omega,
     penalty,
     random_state,
@@ -201,21 +199,17 @@ class TestWitnessFunctionals:
     def test_penalty_zero_on_probability_vector(self):
         dist = QuasiDistribution(tuple(range(4)), np.full(4, 0.25), "state")
         assert penalty(dist) == 0.0
-        assert is_classical(dist)
         assert kd_negativity(dist) == 0.0
-        assert negativity_magnitude(dist) == 0.0
 
     def test_penalty_counts_negativity_and_imaginarity(self):
         vals = np.array([0.5, -0.25, 0.75 + 0.5j, -0.25j])
         dist = QuasiDistribution(tuple(range(4)), vals, "effect")
         assert abs(penalty(dist) - (0.5 + 0.25 + 0.25)) < 1e-14
-        assert not is_classical(dist)
 
     def test_negativity_signs(self, strange, gross3):
         dist = represent_state(gross3, strange)
-        assert kd_negativity(dist) == -negativity_magnitude(dist)
+        assert kd_negativity(dist) == 1.0 - np.abs(dist.flat()).sum()
         assert kd_negativity(dist) < -0.5
-        assert negativity_magnitude(dist) > 0.5
 
     def test_negativity_requires_state_subject(self, gross3, d3):
         unit = Operator(d3, np.eye(3), role="effect")
@@ -223,11 +217,10 @@ class TestWitnessFunctionals:
         with pytest.raises(ValueError):
             kd_negativity(dist)
 
-    def test_is_classical_tolerance(self):
+    def test_penalty_of_round_off_scale_entries(self):
         vals = np.array([1.0 + 1e-14, -1e-14, 1e-15j, 0.0])
         dist = QuasiDistribution(tuple(range(4)), vals, "effect")
-        assert is_classical(dist, tol=1e-12)
-        assert not is_classical(dist, tol=1e-16)
+        assert penalty(dist) == 1e-14 + 1e-15
 
 
 class TestSubtheoryInGrossFrame:

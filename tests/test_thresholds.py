@@ -79,9 +79,16 @@ class TestWignerThreshold:
     def test_maximally_mixed_is_zero(self, d3):
         assert wigner_threshold(maximally_mixed(d3)).p == 0.0
 
-    def test_grid_check_agrees(self, strange):
-        res = wigner_threshold(strange)
-        assert abs(res.certificate["grid_check"] - res.p) <= res.tol + 1e-9
+    def test_tol_is_recorded_not_used(self, strange):
+        coarse, fine = wigner_threshold(strange, tol=2.0), wigner_threshold(strange)
+        assert coarse.tol == 2.0 and fine.tol == 1e-6
+        assert coarse.p == fine.p and abs(fine.p - 0.75) < 1e-12
+        assert "grid_check" not in fine.certificate
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+    def test_rejects_non_positive_tol(self, strange, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            wigner_threshold(strange, tol=tol)
 
     def test_scan_trace_is_sorted_and_nonincreasing(self, strange):
         res = wigner_threshold(strange)
@@ -459,7 +466,7 @@ class TestKDThreshold:
 
 
 @pytest.mark.parametrize(
-    "threshold", [polytope_threshold, kd_threshold, crit_threshold]
+    "threshold", [wigner_threshold, polytope_threshold, kd_threshold, crit_threshold]
 )
 def test_rejects_non_finite_tol(strange, threshold):
     with pytest.raises(ValueError, match="tolerance must be finite, got inf"):
