@@ -16,7 +16,7 @@ import numpy as np
 from .frames import ExactFrame, FrameValidationReport
 from .qudit import Dimension, Operator
 from .representations import QuasiDistribution
-from .thresholds import ThresholdResult
+from .thresholds import ScanTrace, ThresholdResult
 
 
 def jsonable(value):
@@ -151,7 +151,7 @@ def result_from_dict(data: dict) -> ThresholdResult:
         kind=str(data["kind"]),
         p=float(data["p"]),
         certificate=dict(data["certificate"]),
-        scan=tuple((float(p), float(w)) for p, w in data["scan"]),
+        scan=ScanTrace(data["scan"]),
         tol=float(data["tol"]),
     )
 

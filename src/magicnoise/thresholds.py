@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -47,19 +48,81 @@ LP_ACCURACY = 1e-9
 ROUND_OFF = 1e-12
 
 
-@dataclass(frozen=True)
+def _packed(values) -> array:
+    """A float vector as an array of C doubles: whoever keeps many results
+    holds 8 bytes per value instead of a Python float object. (The slice
+    copy is allocated to size; array's frombytes leaves growth room.)"""
+    return array("d", np.asarray(values, dtype=float).tobytes())[:]
+
+
+class ScanTrace(Sequence):
+    """Read-only sequence of (p, witness) pairs of floats, stored as one
+    interleaved array of C doubles (p0, w0, p1, w1, ...).
+
+    It compares equal to another trace or to any sequence of pairs with
+    the same values, such as the tuple of tuples it stands for.
+    """
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, pairs=()):
+        self._flat = _packed([(float(p), float(w)) for p, w in pairs])
+
+    @classmethod
+    def from_columns(cls, points, values) -> ScanTrace:
+        """The trace of equal-length float vectors points and values."""
+        trace = cls.__new__(cls)
+        trace._flat = _packed(np.column_stack((points, values)))
+        return trace
+
+    def __len__(self) -> int:
+        return len(self._flat) // 2
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return ScanTrace(tuple(self)[k])
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError("scan index out of range")
+        k = 2 * (k % n)
+        return self._flat[k], self._flat[k + 1]
+
+    def __iter__(self):
+        flat = iter(self._flat)
+        return zip(flat, flat)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ScanTrace):
+            return self._flat == other._flat
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        try:
+            return len(other) == len(self) and all(
+                tuple(pair) == mine for pair, mine in zip(other, self)
+            )
+        except TypeError:  # an entry that is not a pair
+            return False
+
+    def __repr__(self) -> str:
+        return f"ScanTrace({list(self)!r})"
+
+
+@dataclass(frozen=True, slots=True)
 class ThresholdResult:
     """Outcome of one threshold computation.
 
     p is the noise threshold, exact up to the method's stated accuracy.
-    certificate holds enough data to re-verify the claim from scratch; scan
-    records (noise, witness) pairs along the noise line.
+    certificate holds enough data to re-verify the claim from scratch; its
+    float vectors are array('d') (np.asarray reads each) and a matrix is a
+    tuple of such rows, so a kept result holds 8 bytes per value. scan
+    records (noise, witness) pairs along the noise line as a ScanTrace;
+    any other sequence of pairs passed in is converted to one.
     """
 
     kind: str
     p: float
     certificate: dict
-    scan: tuple
+    scan: ScanTrace
     tol: float
 
     def __post_init__(self):
@@ -67,6 +130,8 @@ class ThresholdResult:
             raise ValueError(f"unknown threshold kind {self.kind!r}")
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"threshold must lie in [0, 1], got {self.p}")
+        if not isinstance(self.scan, ScanTrace):
+            object.__setattr__(self, "scan", ScanTrace(self.scan))
 
 
 @lru_cache(maxsize=None)
@@ -99,23 +164,23 @@ def _trace_points(p_star: float) -> np.ndarray:
     return np.concatenate((grid[:k], [p_star], grid[k:]))
 
 
-def _wigner_scan(w: np.ndarray, d2: int, p_star: float) -> tuple:
+def _wigner_scan(w: np.ndarray, d2: int, p_star: float) -> ScanTrace:
     """(p, negative part of (1-p) w + p/d^2) at each trace point, all
     points in one array pass."""
     points = _trace_points(p_star)
     p = points[:, None]
     negative = np.abs(np.minimum(0.0, (1.0 - p) * w + p / d2)).sum(axis=1)
-    return tuple(zip(points.tolist(), negative.tolist()))
+    return ScanTrace.from_columns(points, negative)
 
 
-def _polytope_scan(p_star: float) -> tuple:
+def _polytope_scan(p_star: float) -> ScanTrace:
     """(q, max(0, (p* - q) / (1 - q))) at each trace point q, 0 at q = 1:
     the noise the polytope LP optimum still asks for after q."""
     q = _trace_points(p_star)
     below = q < 1.0
     need = np.zeros(q.size)
     need[below] = np.maximum(0.0, (p_star - q[below]) / (1.0 - q[below]))
-    return tuple(zip(q.tolist(), need.tolist()))
+    return ScanTrace.from_columns(q, need)
 
 
 def _wigner_closed_form(rho_m: Operator) -> tuple[float, np.ndarray]:
@@ -153,7 +218,7 @@ def wigner_threshold(rho_m: Operator, tol: float = 1e-6) -> ThresholdResult:
         "frame": {"kind": "gross"},
         "w_min": float(w.min()),
         "witness": _negative_part(rep_at_threshold),
-        "representation_re": rep_at_threshold.tolist(),
+        "representation_re": _packed(rep_at_threshold),
         "negative_points": [
             list(divmod(int(k), dim.d))
             for k in np.flatnonzero(w < -DEFAULT_TOLERANCES.construction)
@@ -185,12 +250,15 @@ class PolytopeCertificate:
             object.__setattr__(self, name, arr)
 
     def to_dict(self) -> dict:
+        """coefficients as one array('d'); the witness's real and
+        imaginary parts as tuples of array('d') rows, so the JSON report
+        keeps them nested d x d."""
         return {
-            "coefficients": self.coefficients.tolist(),
+            "coefficients": _packed(self.coefficients),
             "residual": self.residual,
             "witness": {
-                "re": self.witness.real.tolist(),
-                "im": self.witness.imag.tolist(),
+                "re": tuple(map(_packed, self.witness.real)),
+                "im": tuple(map(_packed, self.witness.imag)),
             },
         }
 
@@ -300,12 +368,6 @@ def polytope_threshold(rho_m: Operator, tol: float = 1e-6) -> ThresholdResult:
     return ThresholdResult("polytope", p_star, certificate, _polytope_scan(p_star), tol)
 
 
-def _packed(values: np.ndarray) -> array:
-    """A float vector as an array of C doubles: whoever keeps many KD
-    results holds 8 bytes per value instead of a Python float object."""
-    return array("d", np.asarray(values, dtype=float).tobytes())
-
-
 def subtheory_floor(d: int) -> float:
     """nu_d = sqrt((d-1) / (2 d (d+1))), below which no Kirkwood-Dirac
     frame brings the subtheory witness at any noise level.
@@ -400,7 +462,7 @@ def kd_threshold(
         "classification_tol": classification_tol,
         "p_wigner": _wigner_closed_form(rho_m)[0],
     }
-    return ThresholdResult("kd", 0.0, certificate, ((0.0, objective),), tol)
+    return ThresholdResult("kd", 0.0, certificate, ScanTrace(((0.0, objective),)), tol)
 
 
 def crit_threshold(

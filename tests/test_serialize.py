@@ -7,6 +7,7 @@ import pytest
 from magicnoise import (
     Dimension,
     OptimizerConfig,
+    ScanTrace,
     canonical_mub_frame,
     crit_threshold,
     distribution_from_dict,
@@ -122,6 +123,23 @@ class TestResultRoundtrip:
             back = result_from_dict(json.loads(dumps(data)))
             want = dataclasses.replace(res, certificate=jsonable(res.certificate))
             assert back == want, res.kind
+
+    @pytest.mark.parametrize("state", ["strange", "norrell", "d5"])
+    @pytest.mark.parametrize(
+        "compute", [wigner_threshold, polytope_threshold, kd_threshold, crit_threshold]
+    )
+    def test_report_survives_a_round_trip(self, request, state, compute):
+        if state == "d5":
+            rng = np.random.default_rng(5)
+            vec = rng.normal(size=5) + 1j * rng.normal(size=5)
+            rho = magic_state("custom", Dimension(5), custom_vec=vec)
+        else:
+            rho = request.getfixturevalue(state)
+        res = compute(rho)
+        back = result_from_dict(result_to_dict(res))
+        assert dumps(result_to_dict(back)) == dumps(result_to_dict(res))
+        assert isinstance(back.scan, ScanTrace)
+        assert back.scan == res.scan
 
     def test_reads_older_reports(self, strange):
         data = result_to_dict(wigner_threshold(strange))

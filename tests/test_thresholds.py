@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -13,6 +16,7 @@ from magicnoise import (
     Operator,
     OptimizerConfig,
     PolytopeCertificate,
+    ScanTrace,
     ThresholdResult,
     Tolerances,
     canonical_mub_frame,
@@ -49,6 +53,10 @@ from magicnoise.thresholds import (
 FAST = OptimizerConfig(restarts=1)
 
 
+def _crit_subtheory(rho: Operator) -> ThresholdResult:
+    return crit_threshold(rho, config=FAST, scope="subtheory")
+
+
 class TestThresholdResultType:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
@@ -57,6 +65,67 @@ class TestThresholdResultType:
     def test_rejects_out_of_range_p(self):
         with pytest.raises(ValueError):
             ThresholdResult("wigner", 1.5, {}, (), 1e-6)
+
+    def test_scan_of_pairs_becomes_a_trace(self):
+        res = ThresholdResult("wigner", 0.5, {}, [(0.0, 1.0), [0.5, 0]], 1e-6)
+        assert isinstance(res.scan, ScanTrace)
+        assert res.scan == ((0.0, 1.0), (0.5, 0.0))
+
+
+class TestScanTrace:
+    PAIRS = ((0.0, 0.75), (0.5, -0.0), (1.0, 0.25))
+
+    def test_len_indexing_and_iteration(self):
+        trace = ScanTrace(self.PAIRS)
+        assert len(trace) == 3
+        assert trace[0] == (0.0, 0.75)
+        assert trace[-1] == trace[2] == (1.0, 0.25)
+        assert trace[-3] == trace[0]
+        for k in (3, -4):
+            with pytest.raises(IndexError):
+                trace[k]
+        assert tuple(trace) == self.PAIRS
+        assert isinstance(trace[1:], ScanTrace) and trace[::-2] == self.PAIRS[::-2]
+        assert all(type(p) is type(w) is float for p, w in trace)
+        assert list(reversed(trace)) == list(reversed(self.PAIRS))
+        assert len(ScanTrace()) == 0 and list(ScanTrace()) == []
+
+    def test_from_columns_keeps_every_bit(self):
+        p = np.array([0.0, 0.1, 1.0 / 3.0])
+        w = np.array([-0.0, np.nextafter(0.5, 1.0), 1e-300])
+        trace = ScanTrace.from_columns(p, w)
+        assert _bits(trace) == _bits(zip(p.tolist(), w.tolist()))
+
+    def test_equality(self):
+        trace = ScanTrace(self.PAIRS)
+        assert trace == self.PAIRS and self.PAIRS == trace
+        assert trace == [list(pair) for pair in self.PAIRS]
+        assert trace == ScanTrace(self.PAIRS)
+        assert (trace == ScanTrace(self.PAIRS)) is True
+        assert trace != self.PAIRS[:2]
+        assert trace != ScanTrace(self.PAIRS[:2])
+        assert trace != ((0.0, 0.75), (0.5, 0.0), (1.0, 0.5))
+        assert trace != [1.0, 2.0, 3.0]
+        assert trace != "abc" and trace != 3 and trace != None  # noqa: E711
+
+    def test_read_only(self):
+        trace = ScanTrace(self.PAIRS)
+        with pytest.raises(TypeError):
+            trace[0] = (0.0, 0.0)
+        assert not hasattr(trace, "append")
+        with pytest.raises(AttributeError):
+            trace.extra = 1
+
+    @pytest.mark.parametrize(
+        "compute",
+        [wigner_threshold, polytope_threshold, kd_threshold, crit_threshold, _crit_subtheory],
+    )
+    def test_equal_results_compare_true(self, norrell, compute):
+        # a certificate holding an ndarray would make == raise instead
+        first, second = compute(norrell), compute(norrell)
+        assert isinstance(first.scan, ScanTrace)
+        assert (first == second) is True
+        assert (first.scan == second.scan) is True
 
 
 class TestWignerThreshold:
@@ -642,3 +711,75 @@ class TestMubFrameStabilizerCheck:
         report = mub_frame_stabilizer_check(Dimension(d))
         assert report["defining_max_penalty"] < 1e-12
         assert len(report["per_state"]) == d * (d + 1)
+
+
+def _bytes_per_result(compute, states) -> float:
+    """tracemalloc bytes per result held, after a first call on states[0]
+    has filled the per-d caches."""
+    compute(states[0])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = [compute(rho) for rho in states]
+        gc.collect()
+        used = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return used / len(held)
+
+
+def _unpacked_vectors(value, path: str = "certificate"):
+    """Paths of the lists and tuples of Python floats, and of the ndarrays,
+    anywhere in value."""
+    if isinstance(value, np.ndarray):
+        yield path
+    elif isinstance(value, dict):
+        for key, entry in value.items():
+            yield from _unpacked_vectors(entry, f"{path}[{key!r}]")
+    elif isinstance(value, (list, tuple)):
+        if any(isinstance(entry, float) for entry in value):
+            yield path
+        for k, entry in enumerate(value):
+            yield from _unpacked_vectors(entry, f"{path}[{k}]")
+
+
+class TestResultStorage:
+    """A kept result holds its numbers as C doubles: batch callers keep one
+    result per state, so its size sets their memory."""
+
+    # tracemalloc bytes per held result, about 15% above the measured
+    # 2,263 / 3,015 / 3,959 (polytope, d = 3 / 5 / 7) and 2,283 (crit);
+    # with Python floats in lists and tuples they were 5,115 / 6,835 /
+    # 9,407 and 4,514 (Python 3.11, NumPy 2.4)
+    POLYTOPE_CEILING = {3: 2_600, 5: 3_470, 7: 4_550}
+    CRIT_CEILING = 2_630
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_bytes_per_polytope_result(self, d):
+        states = [_noisy_state(d, seed, 0.05) for seed in range(1, 5)]
+        assert _bytes_per_result(polytope_threshold, states) <= self.POLYTOPE_CEILING[d]
+
+    def test_bytes_per_crit_result(self, strange, norrell):
+        states = [strange, norrell, _noisy_state(3, 1, 0.05)]
+        assert _bytes_per_result(_crit_subtheory, states) <= self.CRIT_CEILING
+
+    @pytest.mark.parametrize(
+        "compute",
+        [wigner_threshold, polytope_threshold, kd_threshold, crit_threshold, _crit_subtheory],
+    )
+    def test_no_certificate_vector_of_python_floats(self, strange, compute):
+        for rho in (strange, _noisy_state(5, 5, 0.05)):
+            res = compute(rho)
+            assert list(_unpacked_vectors(res.certificate)) == [], res.kind
+            assert isinstance(res.scan, ScanTrace)
+
+    def test_vectors_read_back_as_arrays(self, strange):
+        cert = polytope_threshold(strange).certificate
+        assert isinstance(cert["coefficients"], array)
+        assert np.asarray(cert["coefficients"]).shape == (12,)
+        re = cert["witness"]["re"]
+        assert isinstance(re, tuple) and all(isinstance(row, array) for row in re)
+        assert np.asarray(re).shape == np.asarray(cert["witness"]["im"]).shape == (3, 3)
+        rep = wigner_threshold(strange).certificate["representation_re"]
+        assert isinstance(rep, array) and np.asarray(rep).shape == (9,)
