@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .frames import canonical_mub_frame, gross_wigner_frame, validate_frame
 from .optimize import NoThresholdError, OptimizerConfig
-from .qudit import MAGIC_STATE_KINDS, Dimension, depolarize, magic_state
-from .representations import penalty, represent_state
+from .qudit import MAGIC_STATE_KINDS, Dimension, magic_state, maximally_mixed
+from .representations import QuasiDistribution, penalty, represent_state
 from .serialize import (
     as_int,
     dumps,
@@ -235,7 +235,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if not math.isfinite(step):
         raise ValueError(f"step must be finite, got {step!r}")
 
-    built = {name: frame(dim) for name, frame in BUILTIN_FRAMES.items()}
     intervals = np.floor((stop - start) / step + 1e-9)
     if not intervals < MAX_SCAN_POINTS:
         raise ValueError(
@@ -245,21 +244,21 @@ def cmd_scan(args: argparse.Namespace) -> int:
     count = int(intervals) + 1
     # rounding may push the last point just past stop; pin it back
     grid = [min(start + k * step, stop) for k in range(count)]
+    # a representation is linear in the state, so the rows need only two
+    # per frame: mu(rho_p) = (1-p) mu(rho) + p mu(1/d)
+    states = (rho, maximally_mixed(dim))
+    linear = []
+    for name, build in BUILTIN_FRAMES.items():
+        frame = build(dim)
+        mu = [represent_state(frame, state).flat() for state in states]
+        linear.append((name, frame.labels, *mu))
     rows = []
     for p in grid:
-        rho_p = depolarize(rho, p)
-        for name, frame in built.items():
-            dist = represent_state(frame, rho_p)
-            flat = dist.flat()
-            rows.append(
-                (
-                    float(p),
-                    name,
-                    penalty(dist),
-                    float(flat.real.min()),
-                    float(np.abs(flat.imag).max()),
-                )
-            )
+        for name, labels, mu_rho, mu_mixed in linear:
+            values = (1.0 - p) * mu_rho + p * mu_mixed
+            dist = QuasiDistribution(labels, values, "state")
+            extremes = float(values.real.min()), float(np.abs(values.imag).max())
+            rows.append((p, name, penalty(dist), *extremes))
 
     if cfg["format"] == "json":
         keys = ("p", "frame", "witness", "min_real", "max_abs_imag")

@@ -143,19 +143,13 @@ def gross_wigner_frame(dim: Dimension) -> ExactFrame:
 def frame_from_unitaries(u: Operator, v: Operator) -> ExactFrame:
     """KD frame whose bases are the columns of two unitaries.
 
-    The descriptor records both unitaries so the frame can be rebuilt
-    exactly from serialized output.
+    The descriptor only names the kind; a serialized frame is rebuilt from
+    its operators (serialize.frame_from_dict), and a KD certificate keeps
+    the frame parameters the unitaries came from.
     """
     if u.dim != v.dim:
         raise ValueError("unitaries must share a dimension")
-    descriptor = {
-        "kind": "parametrized",
-        "u_re": u.entries.real.tolist(),
-        "u_im": u.entries.imag.tolist(),
-        "v_re": v.entries.real.tolist(),
-        "v_im": v.entries.imag.tolist(),
-    }
-    return kd_frame(u.dim, u.entries, v.entries, descriptor=descriptor)
+    return kd_frame(u.dim, u.entries, v.entries, descriptor={"kind": "parametrized"})
 
 
 @lru_cache(maxsize=None)

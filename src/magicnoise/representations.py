@@ -121,7 +121,7 @@ class OperationalSet:
     states holds every pure stabilizer projector plus the noisy magic state
     (also stored as magic_state); channels holds the identity, the
     depolarizing channel at the same noise level, and the Clifford
-    generators; effects holds the rank-1 MUB projectors plus the unit effect.
+    generators; effects holds the stabilizer state Operators plus the unit effect.
     """
 
     dim: Dimension
@@ -159,9 +159,7 @@ def standard_operational_set(rho_m: Operator, p: float) -> OperationalSet:
     noisy = depolarize(rho_m, p)
     stab = stabilizer_states(dim)
     states = stab.states + (noisy,)
-    effects = tuple(
-        Operator(dim, op.entries, role="effect") for op in stab.states
-    ) + (Operator(dim, np.eye(dim.d), role="effect"),)
+    effects = stab.states + (Operator(dim, np.eye(dim.d), role="effect"),)
     cliffords = clifford_generators(dim)
     channels = (
         identity_channel(dim),

@@ -144,13 +144,26 @@ def result_to_dict(result: ThresholdResult) -> dict:
     }
 
 
+def _stored(value):
+    """value as a computed certificate holds it: a non-empty list of floats
+    as an array('d'), a non-empty list of those as a tuple of them."""
+    if isinstance(value, dict):
+        return {key: _stored(v) for key, v in value.items()}
+    if not (isinstance(value, list) and value):
+        return value
+    if all(type(v) is float for v in value):
+        return array("d", value)
+    rows = tuple(map(_stored, value))
+    return rows if all(isinstance(row, array) for row in rows) else value
+
+
 def result_from_dict(data: dict) -> ThresholdResult:
-    """Inverse of result_to_dict; the upper_bound and seed keys of older
-    reports are ignored."""
+    """Inverse of result_to_dict: the result read back compares equal. The
+    upper_bound and seed keys of older reports are ignored."""
     return ThresholdResult(
         kind=str(data["kind"]),
         p=float(data["p"]),
-        certificate=dict(data["certificate"]),
+        certificate=_stored(dict(data["certificate"])),
         scan=ScanTrace(data["scan"]),
         tol=float(data["tol"]),
     )
@@ -178,15 +191,6 @@ def scan_csv(rows: Iterable[tuple], preamble: Sequence[str] = ()) -> str:
     lines = [f"# {line}" for line in preamble]
     lines.append("p,frame,witness,min_real,max_abs_imag")
     for p, frame_name, witness, min_real, max_imag in rows:
-        lines.append(
-            ",".join(
-                [
-                    _float_str(p),
-                    str(frame_name),
-                    _float_str(witness),
-                    _float_str(min_real),
-                    _float_str(max_imag),
-                ]
-            )
-        )
+        numbers = map(_float_str, (witness, min_real, max_imag))
+        lines.append(",".join([_float_str(p), str(frame_name), *numbers]))
     return "\n".join(lines) + "\n"

@@ -2,9 +2,19 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import magicnoise
+from magicnoise import (
+    Dimension,
+    canonical_mub_frame,
+    depolarize,
+    gross_wigner_frame,
+    magic_state,
+    penalty,
+    represent_state,
+)
 
 
 def run_cli(*args, cwd=None):
@@ -346,6 +356,44 @@ class TestScanCommand:
         assert all(b <= a + 1e-12 for a, b in zip(ws, ws[1:]))
         first_zero = next(p for p, w in gross if w <= 1e-12)
         assert abs(first_zero - 0.75) <= 0.01 + 1e-9
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @pytest.mark.parametrize("step", [0.05, 0.01])
+    def test_rows_match_per_point_representations(self, d, step):
+        # rows come from the linear form (1-p) mu(rho) + p mu(1/d); the
+        # reference represents each depolarized state on its own
+        rng = np.random.default_rng(d)
+        vec = rng.normal(size=d) + 1j * rng.normal(size=d)
+        dim = Dimension(d)
+        rho = magic_state("custom", dim, custom_vec=vec)
+        proc = run_cli(
+            "scan", "--d", str(d), "--state", "custom",
+            "--vec", ",".join(repr(complex(z)) for z in vec),
+            "--step", repr(step), "--format", "json",
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)["result"]["rows"]
+        frames = {"gross": gross_wigner_frame(dim), "kd-mub": canonical_mub_frame(dim)}
+        grid = [min(k * step, 1.0) for k in range(round(1 / step) + 1)]
+        assert [(r["p"], r["frame"]) for r in rows] == [
+            (p, name) for p in grid for name in frames
+        ]
+        for row in rows:
+            dist = represent_state(frames[row["frame"]], depolarize(rho, row["p"]))
+            flat = dist.flat()
+            want = (penalty(dist), flat.real.min(), np.abs(flat.imag).max())
+            got = (row["witness"], row["min_real"], row["max_abs_imag"])
+            assert np.abs(np.subtract(got, want)).max() <= 1e-14, row
+
+    def test_largest_accepted_grid(self):
+        proc = run_cli("scan", "--step", "1e-4")
+        assert proc.returncode == 0, proc.stderr
+        lines = [l for l in proc.stdout.split("\n") if l and not l.startswith("#")]
+        assert len(lines) == 1 + 20_002
+        assert [l.split(",")[:2] for l in lines[-2:]] == [
+            ["1.0", "gross"],
+            ["1.0", "kd-mub"],
+        ]
 
     @pytest.mark.parametrize("step", ["1e-9", "1e-300"])
     def test_huge_grid_rejected(self, step):
