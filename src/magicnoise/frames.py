@@ -162,18 +162,43 @@ def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
     return upper
 
 
+@lru_cache(maxsize=None)
+def _hermitian_map(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, sign) with H = ((coordinates @ M) * sign) read as complex (d, d).
+
+    M (d^2, 2 d^2) sends each coordinate to the (Re, Im) slots it fills,
+    both triangles alike; sign then negates the lower triangle's Im slots,
+    which makes an exact zero there -0.0, as conjugation does. Cached per
+    d and read-only."""
+    d2 = d * d
+    m = np.zeros((d2, d, d, 2))
+    diag = np.arange(d)
+    m[diag, diag, diag, 0] = 1.0
+    rows, cols = _upper(d)
+    re = d + 2 * np.arange(rows.size)
+    for r, c in ((rows, cols), (cols, rows)):
+        m[re, r, c, 0] = 1.0
+        m[re + 1, r, c, 1] = 1.0
+    sign = np.ones((d, d, 2))
+    sign[cols, rows, 1] = -1.0
+    m, sign = m.reshape(d2, 2 * d2), sign.reshape(2 * d2)
+    m.setflags(write=False)
+    sign.setflags(write=False)
+    return m, sign
+
+
 def hermitian_from_params(d: int, params: np.ndarray) -> np.ndarray:
     """H (..., d, d) from its d^2 real coordinates (..., d^2): the d
     diagonal entries, then (Re, Im) of each strict upper entry, row-major.
-    Frame parameters and the polytope LP's rows share this layout."""
-    h = np.zeros(params.shape[:-1] + (d, d), dtype=complex)
-    diag = np.arange(d)
-    h[..., diag, diag] = params[..., :d]
-    rows, cols = _upper(d)
-    vals = params[..., d::2] + 1j * params[..., d + 1 :: 2]
-    h[..., rows, cols] = vals
-    h[..., cols, rows] = vals.conj()
-    return h
+    Frame parameters and the polytope LP's rows share this layout.
+
+    One product with _hermitian_map: each slot of H has one nonzero
+    weight, so the result is exact. The parameters must be finite (inf times a zero
+    weight is nan); unitary_from_params checks them."""
+    m, sign = _hermitian_map(d)
+    h = params @ m
+    h *= sign
+    return h.view(complex).reshape(params.shape[:-1] + (d, d))
 
 
 def params_from_hermitian(h: np.ndarray) -> np.ndarray:
@@ -197,6 +222,8 @@ def unitary_from_params(dim: Dimension, params: np.ndarray) -> Operator:
     d = dim.d
     if params.size != d * d:
         raise ValueError(f"expected {d * d} parameters, got {params.size}")
+    if not np.isfinite(params).all():
+        raise ValueError("unitary operator has non-finite entries")
     h = hermitian_from_params(d, params)
     return Operator(dim, exp_i_hermitian(h), role="unitary")
 

@@ -44,7 +44,10 @@ class OptimizerConfig:
     restarts counts independent downhill-simplex runs (restart 0 always
     starts at the computational/Fourier frame, restart 1 at a frame adapted
     to the target state's eigenbasis, restart r >= 2 at a random offset
-    drawn from np.random.default_rng(r)).
+    drawn from np.random.default_rng(r)). A restart whose start equals an
+    earlier restart's is not rerun: the run is deterministic. At p = 1 the
+    noisy state is 1/d, whose eigenbasis frame is the Fourier start, so
+    restart 1 is restart 0.
     """
 
     restarts: int = 32
@@ -161,7 +164,10 @@ def minimize_omega(
     eigenbasis frame of the noisy state, restart r >= 2 at a random point
     drawn from np.random.default_rng(r).
     Restarts are merged by (objective, restart index), so enlarging the
-    restart budget can only improve the returned objective.
+    restart budget can only improve the returned objective. Nelder-Mead
+    runs once per distinct start, keyed by its bytes: a restart that
+    repeats an earlier start (restart 1 at p = 1, where the noisy state
+    is 1/d) shares that run, and loses the tie to the lower index.
     """
     dim = rho_m.dim
     opset = standard_operational_set(rho_m, p)
@@ -173,13 +179,20 @@ def minimize_omega(
         eigenbasis_frame_params(opset.magic_state),
     ]
 
+    runs: dict[bytes, tuple[np.ndarray, float]] = {}
+
     def run(restart: int) -> tuple[float, int, np.ndarray]:
         if restart < len(starts):
             x0 = starts[restart]
         else:
             rng = np.random.default_rng(restart)
             x0 = rng.normal(0.0, SIMPLEX_SCALE, size=2 * d2)
-        x, fx = nelder_mead(objective, x0, SIMPLEX_SCALE, MAX_ITERATIONS, SPREAD_TOL)
+        key = x0.tobytes()
+        if key not in runs:
+            runs[key] = nelder_mead(
+                objective, x0, SIMPLEX_SCALE, MAX_ITERATIONS, SPREAD_TOL
+            )
+        x, fx = runs[key]
         return fx, restart, x
 
     outcomes = [run(r) for r in range(config.restarts)]

@@ -263,8 +263,12 @@ class PolytopeCertificate:
         }
 
 
+@lru_cache(maxsize=None)
 def _stabilizer_projectors(d: int) -> np.ndarray:
-    return np.stack([op.entries for op in stabilizer_states(Dimension(d)).states])
+    """The d(d+1) stabilizer projectors as one read-only stack, per d."""
+    projs = np.stack([op.entries for op in stabilizer_states(Dimension(d)).states])
+    projs.setflags(write=False)
+    return projs
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from magicnoise import optimize, qudit
+from magicnoise import optimize, qudit, thresholds
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "magicbench"))
 
@@ -27,6 +27,9 @@ def test_tracer_installs_and_uninstalls():
         vars(optimize._Objective)["__call__"],
         qudit.stabilizer_states,
     ]
+    # the polytope LP reads the stabilizer states once per d, through
+    # this cache; emptied, the operation calls qudit.stabilizer_states
+    thresholds._stabilizer_projectors.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -28,7 +30,12 @@ from magicnoise import (
     validate_frame,
     weyl_operator,
 )
-from magicnoise.frames import _log_unitary, hermitian_from_params, params_from_hermitian
+from magicnoise.frames import (
+    _log_unitary,
+    _upper,
+    hermitian_from_params,
+    params_from_hermitian,
+)
 
 
 class TestPhasePointOperators:
@@ -271,6 +278,22 @@ class TestUnitaryParametrization:
         with pytest.raises(ValueError):
             decode_frame(Dimension(3), np.zeros(17))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("index", [0, 3, 4])  # diagonal, Re and Im upper
+    def test_non_finite_params_rejected_without_warning(self, value, index):
+        dim = Dimension(3)
+        params = np.zeros(18)
+        params[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                unitary_from_params(dim, params[:9])
+            with pytest.raises(ValueError, match="non-finite"):
+                decode_frame(dim, params)
+            params = np.roll(params, 9)  # the second unitary's parameters
+            with pytest.raises(ValueError, match="non-finite"):
+                decode_frame(dim, params)
+
 
 def _unitary_cases(d: int, seed: int) -> list[np.ndarray]:
     """A Haar-random unitary, the eigenbasis of a random state, and each
@@ -325,7 +348,33 @@ def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return g + g.conj().T
 
 
+def _hermitian_by_index_writes(d: int, params: np.ndarray) -> np.ndarray:
+    """Reference layout: H written entry by entry from its coordinates."""
+    h = np.zeros(params.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    h[..., diag, diag] = params[..., :d]
+    rows, cols = _upper(d)
+    vals = params[..., d::2] + 1j * params[..., d + 1 :: 2]
+    h[..., rows, cols] = vals
+    h[..., cols, rows] = vals.conj()
+    return h
+
+
 class TestHermitianCoordinates:
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @pytest.mark.parametrize("batch", [(), (2,), (5,)])
+    def test_matches_the_index_write_layout(self, d, batch):
+        rng = np.random.default_rng(d)
+        for _ in range(50):
+            params = rng.normal(0.0, 2.0, size=batch + (d * d,))
+            # exact zeros too: reports print the sign of a zero entry
+            params[rng.random(params.shape) < 0.3] = 0.0
+            h = hermitian_from_params(d, params)
+            want = _hermitian_by_index_writes(d, params)
+            assert h.shape == batch + (d, d)
+            assert np.array_equal(h, want)
+            assert h.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_coordinates_are_adjoint_to_the_witness(self, d):
         # the polytope certificate's W: y . coords(H) == Tr(W(y) H), W built

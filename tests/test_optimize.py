@@ -12,6 +12,7 @@ from magicnoise import (
     minimize_omega,
     nelder_mead,
     params_from_unitary,
+    magic_state,
     random_state,
     subtheory_floor,
     validate_frame,
@@ -81,8 +82,8 @@ class TestNelderMead:
 
 class TestRestartSeeds:
     @staticmethod
-    def _starts(monkeypatch, rho, restarts: int) -> list[np.ndarray]:
-        """The start of every restart, each run stopped where it starts."""
+    def _starts(monkeypatch, rho, restarts: int, p: float = 0.3) -> list[np.ndarray]:
+        """The start of every run, each run stopped where it starts."""
         starts = []
 
         def record(fn, x0, *args):
@@ -90,7 +91,7 @@ class TestRestartSeeds:
             return x0, fn(x0)
 
         monkeypatch.setattr(optimize, "nelder_mead", record)
-        minimize_omega(0.3, rho, OptimizerConfig(restarts=restarts))
+        minimize_omega(p, rho, OptimizerConfig(restarts=restarts))
         return starts
 
     def test_distinct_and_deterministic(self, monkeypatch, strange):
@@ -98,6 +99,17 @@ class TestRestartSeeds:
         again = self._starts(monkeypatch, strange, 6)
         assert len({x.tobytes() for x in first}) == 6
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+    def test_repeated_start_runs_once(self, monkeypatch, strange):
+        # at p = 1 the noisy state is 1/d: its eigenbasis start is the
+        # Fourier start, bit for bit, and is not run again
+        assert len(self._starts(monkeypatch, strange, 2, p=1.0)) == 1
+
+    def test_repeated_start_keeps_the_result(self, strange):
+        two = minimize_omega(1.0, strange, OptimizerConfig(restarts=2))
+        one = minimize_omega(1.0, strange, OptimizerConfig(restarts=1))
+        assert two.params.tobytes() == one.params.tobytes()
+        assert two.objective == one.objective
 
     def test_range(self, monkeypatch, strange):
         # over the whole range of restarts, r >= 2 is seeded by r alone
@@ -126,6 +138,20 @@ class TestMinimizeOmega:
         p_few = minimize_omega(0.15, strange, few)
         p_more = minimize_omega(0.15, strange, more)
         assert p_more.objective <= p_few.objective + 1e-15
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_full_noise_search_ignores_the_state(self, d):
+        # at p = 1 every state is 1/d, so the search is a function of d
+        dim = Dimension(d)
+        if d == 3:
+            states = [magic_state(k, dim) for k in ("strange", "norrell")]
+        else:
+            states = [magic_state("custom", dim, [0, 1, -1, 0, 0])]
+        states.append(random_state(dim, 5))
+        points = [minimize_omega(1.0, rho, SMALL) for rho in states]
+        for point in points[1:]:
+            assert point.params.tobytes() == points[0].params.tobytes()
+            assert point.objective == points[0].objective
 
     def test_subtheory_scope_stays_large(self, strange):
         point = minimize_omega(1.0, strange, SMALL)
