@@ -34,9 +34,6 @@ def main() -> int:
     ap.add_argument(
         "--state", default="strange", help="magic state kind (strange | norrell)"
     )
-    ap.add_argument(
-        "--tol", type=float, default=1e-4, help="resolution recorded in the results"
-    )
     ap.add_argument("--out", help="also write the raw results to this JSON file")
     args = ap.parse_args()
 
@@ -44,14 +41,14 @@ def main() -> int:
     rho = magic_state(args.state, dim)
 
     results = {}
-    for name, run in (
-        ("wigner", lambda: wigner_threshold(rho, tol=args.tol)),
-        ("polytope", lambda: polytope_threshold(rho, tol=args.tol)),
-        ("kd", lambda: kd_threshold(rho, tol=args.tol)),
-        ("crit", lambda: crit_threshold(rho, tol=args.tol)),
+    for name, compute in (
+        ("wigner", wigner_threshold),
+        ("polytope", polytope_threshold),
+        ("kd", kd_threshold),
+        ("crit", crit_threshold),
     ):
         t0 = time.perf_counter()
-        results[name] = run()
+        results[name] = compute(rho)
         print(
             f"{name:>8s}: p = {results[name].p:.6f}"
             f"   ({time.perf_counter() - t0:.2f}s)"

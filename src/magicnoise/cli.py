@@ -74,7 +74,6 @@ THRESHOLD_SETTINGS = (
     _FORMAT,
     Setting("method", str, "wigner", "threshold definition to use", METHODS),
     Setting("scope", str, "state", "what the KD witness must classicalize", SCOPES),
-    Setting("tol", float, 1e-6, "resolution recorded in the result"),
     Setting("restarts", int, 32, "frame-search restarts"),
 )
 SCAN_SETTINGS = (
@@ -201,16 +200,16 @@ def _build_state(cfg: dict):
 def cmd_threshold(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _load_config(args.config), STATE_SETTINGS + THRESHOLD_SETTINGS)
     _, rho = _build_state(cfg)
-    method, scope, tol = cfg["method"], cfg["scope"], cfg["tol"]
+    method, scope = cfg["method"], cfg["scope"]
     opt = OptimizerConfig(restarts=cfg["restarts"])
     if method == "wigner":
-        result = wigner_threshold(rho, tol=tol)
+        result = wigner_threshold(rho)
     elif method == "polytope":
-        result = polytope_threshold(rho, tol=tol)
+        result = polytope_threshold(rho)
     elif method == "kd":
-        result = kd_threshold(rho, config=opt, scope=scope, tol=tol)
+        result = kd_threshold(rho, config=opt, scope=scope)
     else:
-        result = crit_threshold(rho, config=opt, scope=scope, tol=tol)
+        result = crit_threshold(rho, config=opt, scope=scope)
 
     if cfg["format"] == "json":
         text = _report(cfg, result_to_dict(result))
@@ -327,7 +326,7 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
     VALUE for an option.
 
     argparse reads an argument that starts with '-' as an option unless it
-    is a plain negative number, so `--tol -1e-9` and a vector such
+    is a plain negative number, so `--start -0.5` and a vector such
     as `--vec -0.5+0.1j,1,0` would fail with "expected one argument".
     After the subcommand, a VALUE starting with '-' and a digit or '.' is
     attached to the long flag before it, and any VALUE but a long flag to

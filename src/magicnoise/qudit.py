@@ -126,9 +126,6 @@ class Operator:
     def d(self) -> int:
         return self.dim.d
 
-    def dagger(self) -> np.ndarray:
-        return self.entries.conj().T
-
 
 @dataclass(frozen=True)
 class WeylIndex:
@@ -139,9 +136,6 @@ class WeylIndex:
 
     def reduced(self, dim: Dimension) -> "WeylIndex":
         return WeylIndex(self.p % dim.d, self.q % dim.d)
-
-    def is_identity(self, dim: Dimension) -> bool:
-        return self.p % dim.d == 0 and self.q % dim.d == 0
 
 
 def weyl_operator(dim: Dimension, idx: WeylIndex) -> Operator:
@@ -222,17 +216,6 @@ def _mub_basis(dim: Dimension, a: int) -> np.ndarray:
     b = np.arange(d).reshape(1, -1)
     expo = (dim.inv2 * a * x * x + b * x) % d
     return dim.omega ** expo / np.sqrt(d)
-
-
-def stabilizing_weyl_index(dim: Dimension, basis_position: int) -> WeylIndex:
-    """Weyl index whose operator the given MUB (by position) diagonalizes.
-
-    Position 0 is the computational basis (stabilized by Z = W_(1,0));
-    position a+1 is the eigenbasis of X Z^a, hence of W_(a,1) = Z^a X.
-    """
-    if basis_position == 0:
-        return WeylIndex(1, 0)
-    return WeylIndex(basis_position - 1, 1)
 
 
 @dataclass(frozen=True)

@@ -294,14 +294,6 @@ def kd_povm(rho: Operator, povms: Sequence[Sequence]) -> QuasiDistribution:
     return QuasiDistribution(labels, values.reshape(-1), "state")
 
 
-def kd_negativity(dist: QuasiDistribution) -> float:
-    """Signed negativity 1 - sum |values|; zero iff the distribution is a
-    probability vector, negative otherwise."""
-    if dist.subject != "state":
-        raise ValueError("negativity is defined for state distributions")
-    return float(1.0 - np.abs(dist.flat()).sum())
-
-
 def _penalties(values: np.ndarray, axis) -> np.ndarray:
     return np.abs(values.imag).sum(axis) + np.abs(np.minimum(0.0, values.real)).sum(axis)
 

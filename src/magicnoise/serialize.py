@@ -15,13 +15,18 @@ import numpy as np
 
 from .frames import ExactFrame, FrameValidationReport
 from .qudit import Dimension, Operator
-from .representations import QuasiDistribution
 from .thresholds import ScanTrace, ThresholdResult
+
+
+def _unsigned_zero(x) -> float:
+    """x as a float, with -0.0 written as 0.0: the sign of a zero comes from
+    the order of a sum, and would make equal values print differently."""
+    return float(x) + 0.0
 
 
 def jsonable(value):
     """Recursively coerce numpy scalars/arrays, float arrays and tuples into
-    JSON types."""
+    JSON types; -0.0 becomes 0.0."""
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -31,11 +36,11 @@ def jsonable(value):
     if isinstance(value, (np.bool_, bool)):  # before int: bool is an int subclass
         return bool(value)
     if isinstance(value, (np.floating, float)):
-        return float(value)
+        return _unsigned_zero(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, (np.complexfloating, complex)):
-        return {"re": float(value.real), "im": float(value.imag)}
+        return {"re": _unsigned_zero(value.real), "im": _unsigned_zero(value.imag)}
     return value
 
 
@@ -118,22 +123,6 @@ def frame_from_dict(data: dict) -> ExactFrame:
     return ExactFrame(dim, labels, analysis, synthesis, descriptor)
 
 
-def distribution_to_dict(dist: QuasiDistribution) -> dict:
-    flat = dist.flat()
-    return {
-        "labels": [list(l) if isinstance(l, tuple) else l for l in dist.labels],
-        "re": flat.real.tolist(),
-        "im": flat.imag.tolist(),
-        "subject": dist.subject,
-    }
-
-
-def distribution_from_dict(data: dict) -> QuasiDistribution:
-    values = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-    labels = tuple(tuple(l) if isinstance(l, list) else l for l in data["labels"])
-    return QuasiDistribution(labels, values, str(data["subject"]))
-
-
 def result_to_dict(result: ThresholdResult) -> dict:
     return {
         "kind": result.kind,
@@ -174,7 +163,7 @@ def validation_report_to_dict(report: FrameValidationReport) -> dict:
 
 
 def _float_str(x: float) -> str:
-    return repr(float(x))
+    return repr(_unsigned_zero(x))
 
 
 def threshold_trace_csv(result: ThresholdResult, preamble: Sequence[str] = ()) -> str:

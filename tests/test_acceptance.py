@@ -288,8 +288,6 @@ def test_10_cli_reports_are_deterministic():
             "kd",
             "--restarts",
             "4",
-            "--tol",
-            "1e-2",
         ]
         first = subprocess.run(args, capture_output=True, timeout=300)
         second = subprocess.run(args, capture_output=True, timeout=300)

@@ -19,10 +19,8 @@ from magicnoise import (
     identity_channel,
     kd_frame,
     kd_matrix,
-    kd_negativity,
     kd_povm,
     kd_sequential,
-    magic_state,
     maximally_mixed,
     omega,
     penalty,
@@ -199,23 +197,11 @@ class TestWitnessFunctionals:
     def test_penalty_zero_on_probability_vector(self):
         dist = QuasiDistribution(tuple(range(4)), np.full(4, 0.25), "state")
         assert penalty(dist) == 0.0
-        assert kd_negativity(dist) == 0.0
 
     def test_penalty_counts_negativity_and_imaginarity(self):
         vals = np.array([0.5, -0.25, 0.75 + 0.5j, -0.25j])
         dist = QuasiDistribution(tuple(range(4)), vals, "effect")
         assert abs(penalty(dist) - (0.5 + 0.25 + 0.25)) < 1e-14
-
-    def test_negativity_signs(self, strange, gross3):
-        dist = represent_state(gross3, strange)
-        assert kd_negativity(dist) == 1.0 - np.abs(dist.flat()).sum()
-        assert kd_negativity(dist) < -0.5
-
-    def test_negativity_requires_state_subject(self, gross3, d3):
-        unit = Operator(d3, np.eye(3), role="effect")
-        dist = represent_effect(gross3, unit)
-        with pytest.raises(ValueError):
-            kd_negativity(dist)
 
     def test_penalty_of_round_off_scale_entries(self):
         vals = np.array([1.0 + 1e-14, -1e-14, 1e-15j, 0.0])

@@ -1,4 +1,5 @@
 import json
+from array import array
 
 import numpy as np
 import pytest
@@ -7,10 +8,9 @@ from magicnoise import (
     Dimension,
     OptimizerConfig,
     ScanTrace,
+    ThresholdResult,
     canonical_mub_frame,
     crit_threshold,
-    distribution_from_dict,
-    distribution_to_dict,
     dumps,
     frame_from_dict,
     frame_to_dict,
@@ -21,7 +21,6 @@ from magicnoise import (
     operator_from_dict,
     operator_to_dict,
     polytope_threshold,
-    represent_state,
     result_from_dict,
     result_to_dict,
     scan_csv,
@@ -54,6 +53,20 @@ class TestJsonable:
     def test_dumps_is_sorted_and_newline_terminated(self):
         text = dumps({"b": 1, "a": 2})
         assert text == '{\n  "a": 2,\n  "b": 1\n}\n'
+
+    def test_negative_zero_is_written_as_zero(self):
+        doc = {
+            "f": -0.0,
+            "n": np.float64(-0.0),
+            "a": np.array([-0.0, 1.0]),
+            "d": array("d", [-0.0]),
+            "c": complex(-0.0, -0.0),
+        }
+        assert "-0.0" not in dumps(doc)
+        trace = ThresholdResult("wigner", -0.0, {}, [(-0.0, -0.0)], 1e-6)
+        assert threshold_trace_csv(trace) == "p,witness\n0.0,0.0\n"
+        row = (-0.0, "gross", -0.0, -0.0, -0.0)
+        assert scan_csv([row]).endswith("\n0.0,gross,0.0,0.0,0.0\n")
 
 
 class TestOperatorRoundtrip:
@@ -92,17 +105,6 @@ class TestFrameRoundtrip:
         assert validate_frame(back).passed
 
 
-class TestDistributionRoundtrip:
-    def test_roundtrip(self, gross3, strange):
-        dist = represent_state(gross3, strange)
-        data = distribution_to_dict(dist)
-        assert set(data) == {"labels", "re", "im", "subject"}
-        back = distribution_from_dict(json.loads(dumps(data)))
-        assert back.subject == "state"
-        assert back.labels == dist.labels
-        assert np.abs(back.flat() - dist.flat()).max() < 1e-15
-
-
 class TestResultRoundtrip:
     @staticmethod
     def _every_method(rho) -> list:
@@ -138,6 +140,22 @@ class TestResultRoundtrip:
         assert dumps(result_to_dict(back)) == dumps(result_to_dict(res))
         assert isinstance(back.scan, ScanTrace)
         assert back.scan == res.scan
+
+    @pytest.mark.parametrize("state", ["strange", "norrell"])
+    def test_polytope_report_has_no_negative_zero(self, request, state):
+        # the LP witness holds a zero whose sign is set by the order of a sum
+        res = polytope_threshold(request.getfixturevalue(state))
+        data = result_to_dict(res)
+        zeros = []
+
+        def read(token: str) -> float:
+            if float(token) == 0.0:
+                zeros.append(token)
+            return float(token)
+
+        json.loads(dumps(data), parse_float=read)
+        assert zeros and set(zeros) == {"0.0"}
+        assert result_from_dict(data) == res
 
     def test_reads_older_reports(self, strange):
         data = result_to_dict(wigner_threshold(strange))

@@ -15,7 +15,6 @@ from magicnoise import (
     NoThresholdError,
     Operator,
     OptimizerConfig,
-    PolytopeCertificate,
     ScanTrace,
     ThresholdResult,
     Tolerances,
