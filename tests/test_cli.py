@@ -158,6 +158,21 @@ class TestThresholdCommand:
         assert proc.stdout == ""
         assert f"error: unrecognized arguments: {flag}" in proc.stderr
 
+    @pytest.mark.parametrize("method", ["wigner", "polytope", "kd", "crit"])
+    def test_every_method_records_the_library_default_tol(self, method):
+        proc = run_cli("threshold", "--method", method, "--restarts", "1")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["result"]["tol"] == 1e-6
+        assert "tol" not in doc["config"]
+
+    @pytest.mark.parametrize("state", ["strange", "norrell"])
+    def test_polytope_json_report_has_no_negative_zero(self, state):
+        proc = run_cli("threshold", "--method", "polytope", "--state", state)
+        assert proc.returncode == 0, proc.stderr
+        assert "-0.0" not in proc.stdout
+        assert json.loads(proc.stdout)["result"]["certificate"]["witness"]
+
     def test_vec_with_leading_minus_takes_the_space_separated_form(self):
         vec = "-0.5+0.1j,1,0"
         spaced = run_cli("threshold", "--state", "custom", "--vec", vec, "--format", "csv")

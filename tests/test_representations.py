@@ -203,6 +203,13 @@ class TestWitnessFunctionals:
         dist = QuasiDistribution(tuple(range(4)), vals, "effect")
         assert abs(penalty(dist) - (0.5 + 0.25 + 0.25)) < 1e-14
 
+    def test_penalty_of_strange_is_its_wigner_negativity(self, strange, gross3):
+        # a real quasi-distribution summing to 1 has sum|x| = 1 + 2 * (negative mass)
+        dist = represent_state(gross3, strange)
+        excess = np.abs(dist.flat()).sum() - 1.0
+        assert abs(penalty(dist) - excess / 2) < 1e-12
+        assert abs(penalty(dist) - 1.0 / 3.0) < 1e-12
+
     def test_penalty_of_round_off_scale_entries(self):
         vals = np.array([1.0 + 1e-14, -1e-14, 1e-15j, 0.0])
         dist = QuasiDistribution(tuple(range(4)), vals, "effect")

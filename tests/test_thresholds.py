@@ -282,6 +282,11 @@ class TestPolytopeThreshold:
         with pytest.raises(ValueError):
             polytope_threshold(strange, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+    def test_rejects_non_positive_tol(self, strange, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            polytope_threshold(strange, tol=tol)
+
     def test_scan_is_the_noise_still_needed(self, strange):
         res = polytope_threshold(strange, tol=1e-3)
         ps = [q for q, _ in res.scan]
