@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .frames import canonical_mub_frame, gross_wigner_frame, validate_frame
-from .optimize import NoThresholdError, OptimizerConfig
 from .qudit import MAGIC_STATE_KINDS, Dimension, magic_state, maximally_mixed
 from .representations import QuasiDistribution, penalty, represent_state
 from .serialize import (
@@ -33,9 +32,9 @@ from .serialize import (
     result_to_dict,
     scan_csv,
     threshold_trace_csv,
-    validation_report_to_dict,
 )
 from .thresholds import (
+    NoThresholdError,
     crit_threshold,
     kd_threshold,
     polytope_threshold,
@@ -74,7 +73,6 @@ THRESHOLD_SETTINGS = (
     _FORMAT,
     Setting("method", str, "wigner", "threshold definition to use", METHODS),
     Setting("scope", str, "state", "what the KD witness must classicalize", SCOPES),
-    Setting("restarts", int, 32, "frame-search restarts"),
 )
 SCAN_SETTINGS = (
     _FORMAT._replace(default="csv"),
@@ -201,15 +199,14 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _load_config(args.config), STATE_SETTINGS + THRESHOLD_SETTINGS)
     _, rho = _build_state(cfg)
     method, scope = cfg["method"], cfg["scope"]
-    opt = OptimizerConfig(restarts=cfg["restarts"])
     if method == "wigner":
         result = wigner_threshold(rho)
     elif method == "polytope":
         result = polytope_threshold(rho)
     elif method == "kd":
-        result = kd_threshold(rho, config=opt, scope=scope)
+        result = kd_threshold(rho, scope=scope)
     else:
-        result = crit_threshold(rho, config=opt, scope=scope)
+        result = crit_threshold(rho, scope=scope)
 
     if cfg["format"] == "json":
         text = _report(cfg, result_to_dict(result))
@@ -278,7 +275,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         frame = frame_from_dict(_read_json(cfg["frame"], "frame file"))
     report = validate_frame(frame)
     source = {"builtin": cfg["builtin"], "d": frame.dim.d}
-    result = {"passed": report.passed, "report": validation_report_to_dict(report)}
+    result = {"passed": report.passed, "report": report.to_dict()}
     _emit(_report(source, result), args.out)
     return 0 if report.passed else 3
 

@@ -1,10 +1,11 @@
 """Deterministic frame search: a multi-restart downhill simplex over the
 unitary parameters of Kirkwood-Dirac frames (frames.decode_frame) for the
-subtheory witness."""
+subtheory witness at full noise."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -12,22 +13,17 @@ import numpy as np
 from .frames import (
     OVERLAP_FLOOR,
     decode_frame,
-    eigenbasis_frame_params,
     exp_i_hermitian,
     hermitian_from_params,
     params_from_unitary,
     validate_frame,
 )
-from .qudit import Operator, fourier_gate
+from .qudit import Dimension, fourier_gate, maximally_mixed
 from .representations import (
     OperationalSet,
     standard_operational_set,
     subtheory_witness,
 )
-
-
-class NoThresholdError(RuntimeError):
-    """Raised when no noise level in [0, 1] makes the state classical."""
 
 
 # Offset of the initial downhill simplex along each parameter, the spread
@@ -41,16 +37,14 @@ MAX_ITERATIONS = 400
 class OptimizerConfig:
     """Settings for the multi-restart frame search.
 
-    restarts counts independent downhill-simplex runs (restart 0 always
-    starts at the computational/Fourier frame, restart 1 at a frame adapted
-    to the target state's eigenbasis, restart r >= 2 at a random offset
-    drawn from np.random.default_rng(r)). A restart whose start equals an
-    earlier restart's is not rerun: the run is deterministic. At p = 1 the
-    noisy state is 1/d, whose eigenbasis frame is the Fourier start, so
-    restart 1 is restart 0.
+    restarts numbers the downhill-simplex runs: restart 0 starts at the
+    computational/Fourier frame and restart r >= 2 at a random point drawn
+    from np.random.default_rng(r). Restart 1 would start at the noisy
+    state's eigenbasis frame, which at full noise is the Fourier start bit
+    for bit, so it does not run: restarts 1 and 2 give the same search.
     """
 
-    restarts: int = 32
+    restarts: int = 1
 
     def __post_init__(self):
         r = self.restarts
@@ -154,49 +148,36 @@ class _Objective:
         return subtheory_witness(fs, ds, self.opset)
 
 
-def minimize_omega(
-    p: float, rho_m: Operator, config: OptimizerConfig
-) -> FrameSearchPoint:
-    """Search KD frames for the smallest subtheory witness value at noise
-    level p (the operational set of standard_operational_set).
+@lru_cache(maxsize=None)
+def _full_noise_objective(d: int) -> _Objective:
+    """The objective over the operational set at p = 1, built once per d:
+    there the noisy state is 1/d whatever the input."""
+    dim = Dimension(d)
+    return _Objective(standard_operational_set(maximally_mixed(dim), 1.0))
 
-    Restart 0 starts at the computational/Fourier frame, restart 1 at the
-    eigenbasis frame of the noisy state, restart r >= 2 at a random point
-    drawn from np.random.default_rng(r).
-    Restarts are merged by (objective, restart index), so enlarging the
-    restart budget can only improve the returned objective. Nelder-Mead
-    runs once per distinct start, keyed by its bytes: a restart that
-    repeats an earlier start (restart 1 at p = 1, where the noisy state
-    is 1/d) shares that run, and loses the tie to the lower index.
+
+def minimize_omega(dim: Dimension, config: OptimizerConfig) -> FrameSearchPoint:
+    """Search KD frames for the smallest subtheory witness value at full
+    noise, p = 1 (the operational set of standard_operational_set).
+
+    Restart 0 starts at the computational/Fourier frame and restart r >= 2
+    at a random point drawn from np.random.default_rng(r); restart 1 does
+    not run (see OptimizerConfig). The best run wins, the lower restart on
+    a tie, so enlarging the restart budget can only improve the returned
+    objective.
     """
-    dim = rho_m.dim
-    opset = standard_operational_set(rho_m, p)
-    objective = _Objective(opset)
-
+    objective = _full_noise_objective(dim.d)
     d2 = dim.d ** 2
-    starts = [
-        np.concatenate([np.zeros(d2), params_from_unitary(fourier_gate(dim))]),
-        eigenbasis_frame_params(opset.magic_state),
+    starts = [np.concatenate([np.zeros(d2), params_from_unitary(fourier_gate(dim))])]
+    starts += [
+        np.random.default_rng(r).normal(0.0, SIMPLEX_SCALE, size=2 * d2)
+        for r in range(2, config.restarts)
     ]
-
-    runs: dict[bytes, tuple[np.ndarray, float]] = {}
-
-    def run(restart: int) -> tuple[float, int, np.ndarray]:
-        if restart < len(starts):
-            x0 = starts[restart]
-        else:
-            rng = np.random.default_rng(restart)
-            x0 = rng.normal(0.0, SIMPLEX_SCALE, size=2 * d2)
-        key = x0.tobytes()
-        if key not in runs:
-            runs[key] = nelder_mead(
-                objective, x0, SIMPLEX_SCALE, MAX_ITERATIONS, SPREAD_TOL
-            )
-        x, fx = runs[key]
-        return fx, restart, x
-
-    outcomes = [run(r) for r in range(config.restarts)]
-    best_f, _, best_x = min(outcomes, key=lambda t: (t[0], t[1]))
+    runs = [
+        nelder_mead(objective, x0, SIMPLEX_SCALE, MAX_ITERATIONS, SPREAD_TOL)
+        for x0 in starts
+    ]
+    best_x, best_f = min(runs, key=lambda run: run[1])
     report = validate_frame(decode_frame(dim, best_x))
     if not report.passed:
         raise RuntimeError(

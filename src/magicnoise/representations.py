@@ -317,13 +317,9 @@ def subtheory_witness(fs: np.ndarray, ds: np.ndarray, opset: OperationalSet) -> 
     return float(max(_penalties(singles, 0).max(), _penalties(gammas, (1, 2)).max()))
 
 
-def omega(
-    p: float,
-    frame: ExactFrame,
-    opset: OperationalSet,
-    scope: str = "state",
-) -> float:
-    """Witness value: the largest penalty over the probed representations.
+def omega(frame: ExactFrame, opset: OperationalSet, scope: str = "state") -> float:
+    """Witness value at the noise level opset.noise: the largest penalty
+    over the probed representations.
 
     scope "state" penalizes only the noisy magic state's distribution;
     scope "subtheory" takes the maximum over every state, channel, and
@@ -334,10 +330,6 @@ def omega(
         raise ValueError("scope must be 'state' or 'subtheory'")
     if opset.dim != frame.dim:
         raise DimensionMismatchError("operational set and frame dimensions differ")
-    if abs(opset.noise - p) > 1e-12:
-        raise ValueError(
-            f"operational set was built at noise {opset.noise}, not {p}"
-        )
     if scope == "state":
         return penalty(represent_state(frame, opset.magic_state))
     return subtheory_witness(frame.analysis_stack(), frame.synthesis_stack(), opset)

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .frames import ExactFrame, FrameValidationReport
+from .frames import ExactFrame
 from .qudit import Dimension, Operator
 from .thresholds import ScanTrace, ThresholdResult
 
@@ -156,10 +156,6 @@ def result_from_dict(data: dict) -> ThresholdResult:
         scan=ScanTrace(data["scan"]),
         tol=float(data["tol"]),
     )
-
-
-def validation_report_to_dict(report: FrameValidationReport) -> dict:
-    return jsonable(report.to_dict())
 
 
 def _float_str(x: float) -> str:

@@ -31,7 +31,7 @@ from .frames import (
     params_from_hermitian,
     validate_frame,
 )
-from .optimize import NoThresholdError, OptimizerConfig, minimize_omega
+from .optimize import OptimizerConfig, minimize_omega
 from .qudit import (
     DEFAULT_TOLERANCES,
     Dimension,
@@ -41,6 +41,11 @@ from .qudit import (
 )
 from .representations import kd_matrix, penalty, represent_state
 from .simplex import SimplexError, solve_lp
+
+
+class NoThresholdError(RuntimeError):
+    """Raised when no noise level in [0, 1] makes the state classical."""
+
 
 # How far a polytope LP optimum and its certificates may sit from exact.
 LP_ACCURACY = 1e-9
@@ -417,7 +422,8 @@ def kd_threshold(
     the Wigner threshold p_wigner alongside.
 
     scope "subtheory" has no threshold: every frame keeps the witness at
-    or above subtheory_floor(d) at every p. One frame search at p = 1
+    or above subtheory_floor(d) at every p. One frame search at p = 1,
+    where it depends on d alone (minimize_omega, run with config),
     cross-checks that floor, and NoThresholdError names both values.
     """
     if scope not in ("state", "subtheory"):
@@ -427,7 +433,7 @@ def kd_threshold(
 
     if scope == "subtheory":
         floor = subtheory_floor(dim.d)
-        best = minimize_omega(1.0, rho_m, config or OptimizerConfig())
+        best = minimize_omega(dim, config or OptimizerConfig())
         if best.objective < floor:
             raise RuntimeError(
                 f"frame search found witness {best.objective!r} below the "

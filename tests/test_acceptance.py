@@ -286,8 +286,6 @@ def test_10_cli_reports_are_deterministic():
             "threshold",
             "--method",
             "kd",
-            "--restarts",
-            "4",
         ]
         first = subprocess.run(args, capture_output=True, timeout=300)
         second = subprocess.run(args, capture_output=True, timeout=300)

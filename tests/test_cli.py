@@ -79,35 +79,21 @@ class TestThresholdCommand:
         assert cert["coincidence_with_wigner"] == "CONFIRMED"
 
     def test_kd_report_shape(self):
-        proc = run_cli(
-            "threshold",
-            "--method",
-            "kd",
-            "--restarts",
-            "3",
-        )
+        proc = run_cli("threshold", "--method", "kd")
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         res = doc["result"]
         assert set(res) == {"kind", "p", "certificate", "scan", "tol"}
         assert res["kind"] == "kd"
         assert res["p"] == 0.0
-        assert set(doc["config"]) == {
-            "d", "state", "vec", "format", "method", "scope", "restarts"
-        }
+        assert set(doc["config"]) == {"d", "state", "vec", "format", "method", "scope"}
         deleted = {
             "gap_tolerance", "ordering_satisfied", "diagnostics", "witness_recheck"
         }
         assert not deleted & set(res["certificate"])
 
     def test_crit_method(self):
-        proc = run_cli(
-            "threshold",
-            "--method",
-            "crit",
-            "--restarts",
-            "3",
-        )
+        proc = run_cli("threshold", "--method", "crit")
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["result"]["kind"] == "crit"
@@ -136,21 +122,15 @@ class TestThresholdCommand:
         assert doc["result"]["kind"] == "wigner"
 
     def test_no_threshold_exit_code(self):
-        proc = run_cli(
-            "threshold",
-            "--method",
-            "kd",
-            "--scope",
-            "subtheory",
-            "--restarts",
-            "2",
-        )
+        proc = run_cli("threshold", "--method", "kd", "--scope", "subtheory")
         assert proc.returncode == 2
         assert "no threshold" in proc.stderr
         assert "subtheory_floor(3) = 0.2887" in proc.stderr
+        assert "(best found at p = 1: 16.3923)" in proc.stderr
 
     @pytest.mark.parametrize(
-        "flag, value", [("--seed", "1"), ("--class-tol", "1e-9"), ("--tol", "1e-3")]
+        "flag, value",
+        [("--seed", "1"), ("--class-tol", "1e-9"), ("--tol", "1e-3"), ("--restarts", "2")],
     )
     def test_removed_flags_are_unrecognised(self, flag, value):
         proc = run_cli("threshold", "--method", "kd", flag, value)
@@ -160,7 +140,7 @@ class TestThresholdCommand:
 
     @pytest.mark.parametrize("method", ["wigner", "polytope", "kd", "crit"])
     def test_every_method_records_the_library_default_tol(self, method):
-        proc = run_cli("threshold", "--method", method, "--restarts", "1")
+        proc = run_cli("threshold", "--method", method)
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["result"]["tol"] == 1e-6
@@ -260,8 +240,6 @@ class TestConfigFile:
         [
             ("d", 5.9),
             ("d", True),
-            ("restarts", 2.5),
-            ("restarts", True),
         ],
     )
     def test_integer_keys_reject_fractions_and_bools(self, tmp_path, key, value):
@@ -277,12 +255,11 @@ class TestConfigFile:
 
     def test_integral_numbers_are_integers(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        doc = {"schema": 1, "state": "custom", "vec": "1,0,0,0,1", "d": 5.0, "restarts": 2.0}
+        doc = {"schema": 1, "state": "custom", "vec": "1,0,0,0,1", "d": 5.0}
         cfg.write_text(json.dumps(doc))
         proc = run_cli("threshold", "--config", str(cfg), "--format", "csv")
         assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.split("\n")
-        assert "# d=5" in lines and "# restarts=2" in lines
+        assert "# d=5" in proc.stdout.split("\n")
 
     @pytest.mark.parametrize("method", ["wigner", "polytope", "kd", "crit"])
     @pytest.mark.parametrize(
@@ -315,7 +292,9 @@ class TestConfigFile:
         assert proc.stdout == ""
         assert proc.stderr == "magicnoise: error: unknown config keys: ['families']\n"
 
-    @pytest.mark.parametrize("key, value", [("seed", 1), ("class_tol", 1e-9), ("tol", 1e-5)])
+    @pytest.mark.parametrize(
+        "key, value", [("seed", 1), ("class_tol", 1e-9), ("tol", 1e-5), ("restarts", 2)]
+    )
     def test_removed_keys_are_unknown(self, tmp_path, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schema": 1, key: value}))
@@ -544,13 +523,7 @@ class TestValidateCommand:
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self):
-        args = (
-            "threshold",
-            "--method",
-            "kd",
-            "--restarts",
-            "4",
-        )
+        args = ("threshold", "--method", "kd")
         first = run_process(*args)
         second = run_process(*args)
         assert first.returncode == second.returncode == 0
@@ -563,7 +536,7 @@ class TestDeterminism:
         vec5 = "1,0.5-0.2i,-0.3,0.1i,0.7"
         argvs = [
             *(["threshold", "--method", m] for m in ("wigner", "polytope", "kd", "crit")),
-            ["threshold", "--method", "crit", "--scope", "subtheory", "--restarts", "1"],
+            ["threshold", "--method", "crit", "--scope", "subtheory"],
             ["scan", "--step", "0.25"],
             ["validate", "--builtin", "kd-mub"],
             *(

@@ -89,3 +89,10 @@ def test_all_lists_exactly_what_init_imports():
     }
     assert len(magicnoise.__all__) == len(set(magicnoise.__all__))
     assert set(magicnoise.__all__) == imported | {"__version__"}
+
+
+def test_cli_imports_nothing_from_optimize():
+    # the frame search has no CLI setting: the answer it cross-checks is proven
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "optimize" not in modules

@@ -1,4 +1,6 @@
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from magicnoise import (
     Operator,
     OptimizerConfig,
     decode_frame,
+    fourier_gate,
+    maximally_mixed,
     minimize_omega,
     nelder_mead,
     params_from_unitary,
@@ -27,7 +31,7 @@ SMALL = OptimizerConfig(restarts=2)
 class TestOptimizerConfig:
     def test_defaults(self):
         cfg = OptimizerConfig()
-        assert cfg.restarts == 32
+        assert cfg.restarts == 1
         names = [f.name for f in dataclasses.fields(cfg)]
         assert names == ["restarts"]
 
@@ -82,7 +86,7 @@ class TestNelderMead:
 
 class TestRestartSeeds:
     @staticmethod
-    def _starts(monkeypatch, rho, restarts: int, p: float = 0.3) -> list[np.ndarray]:
+    def _starts(monkeypatch, restarts: int, d: int = 3) -> list[np.ndarray]:
         """The start of every run, each run stopped where it starts."""
         starts = []
 
@@ -91,70 +95,114 @@ class TestRestartSeeds:
             return x0, fn(x0)
 
         monkeypatch.setattr(optimize, "nelder_mead", record)
-        minimize_omega(p, rho, OptimizerConfig(restarts=restarts))
+        minimize_omega(Dimension(d), OptimizerConfig(restarts=restarts))
         return starts
 
-    def test_distinct_and_deterministic(self, monkeypatch, strange):
-        first = self._starts(monkeypatch, strange, 6)
-        again = self._starts(monkeypatch, strange, 6)
-        assert len({x.tobytes() for x in first}) == 6
+    def test_distinct_and_deterministic(self, monkeypatch):
+        first = self._starts(monkeypatch, 6)
+        again = self._starts(monkeypatch, 6)
+        assert len({x.tobytes() for x in first}) == 5
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
-    def test_repeated_start_runs_once(self, monkeypatch, strange):
-        # at p = 1 the noisy state is 1/d: its eigenbasis start is the
-        # Fourier start, bit for bit, and is not run again
-        assert len(self._starts(monkeypatch, strange, 2, p=1.0)) == 1
+    @pytest.mark.parametrize("restarts, runs", [(1, 1), (2, 1), (3, 2), (6, 5)])
+    def test_restart_one_never_runs(self, monkeypatch, restarts, runs):
+        assert len(self._starts(monkeypatch, restarts)) == runs
 
-    def test_repeated_start_keeps_the_result(self, strange):
-        two = minimize_omega(1.0, strange, OptimizerConfig(restarts=2))
-        one = minimize_omega(1.0, strange, OptimizerConfig(restarts=1))
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_restart_zero_is_the_fourier_frame(self, monkeypatch, d):
+        dim = Dimension(d)
+        (start,) = self._starts(monkeypatch, 1, d)
+        want = np.concatenate([np.zeros(d * d), params_from_unitary(fourier_gate(dim))])
+        assert start.tobytes() == want.tobytes()
+
+    def test_range(self, monkeypatch):
+        # over the whole range of restarts, r >= 2 is seeded by r alone
+        starts = self._starts(monkeypatch, 6)
+        for r, start in zip(range(2, 6), starts[1:]):
+            want = np.random.default_rng(r).normal(0.0, SIMPLEX_SCALE, size=18)
+            assert np.array_equal(start, want)
+
+    def test_restarts_one_and_two_give_the_same_bytes(self, d3):
+        one = minimize_omega(d3, OptimizerConfig(restarts=1))
+        two = minimize_omega(d3, OptimizerConfig(restarts=2))
         assert two.params.tobytes() == one.params.tobytes()
         assert two.objective == one.objective
 
-    def test_range(self, monkeypatch, strange):
-        # over the whole range of restarts, r >= 2 is seeded by r alone
-        starts = self._starts(monkeypatch, strange, 6)
-        for r in range(2, 6):
-            want = np.random.default_rng(r).normal(0.0, SIMPLEX_SCALE, size=18)
-            assert np.array_equal(starts[r], want)
-
 
 class TestMinimizeOmega:
-    def test_certificate_frame_is_valid_and_reproduces_objective(self, strange):
+    def test_certificate_frame_is_valid_and_reproduces_objective(self, d3):
         from magicnoise import omega, standard_operational_set
 
-        p = 0.3
-        point = minimize_omega(p, strange, SMALL)
+        point = minimize_omega(d3, SMALL)
         assert isinstance(point, FrameSearchPoint)
-        frame = decode_frame(strange.dim, point.params)
+        frame = decode_frame(d3, point.params)
         assert validate_frame(frame).passed
-        opset = standard_operational_set(strange, p)
-        value = omega(p, frame, opset, scope="subtheory")
+        opset = standard_operational_set(maximally_mixed(d3), 1.0)
+        value = omega(frame, opset, scope="subtheory")
         assert abs(value - point.objective) < 1e-9
 
-    def test_more_restarts_never_hurt(self, strange):
-        few = OptimizerConfig(restarts=2)
-        more = OptimizerConfig(restarts=3)
-        p_few = minimize_omega(0.15, strange, few)
-        p_more = minimize_omega(0.15, strange, more)
-        assert p_more.objective <= p_few.objective + 1e-15
+    @pytest.mark.parametrize(
+        "restarts, objective",
+        [(1, 16.39230484541327), (2, 16.39230484541327), (3, 13.451015502270055)],
+    )
+    def test_pinned_qutrit_objectives(self, d3, restarts, objective):
+        point = minimize_omega(d3, OptimizerConfig(restarts=restarts))
+        assert point.objective == pytest.approx(objective, rel=1e-9, abs=0.0)
+
+    def test_more_restarts_never_hurt(self, d3):
+        few = minimize_omega(d3, OptimizerConfig(restarts=2))
+        more = minimize_omega(d3, OptimizerConfig(restarts=3))
+        assert more.objective <= few.objective
 
     @pytest.mark.parametrize("d", [3, 5])
-    def test_full_noise_search_ignores_the_state(self, d):
+    def test_full_noise_objective_ignores_the_state(self, d):
         # at p = 1 every state is 1/d, so the search is a function of d
+        from magicnoise import standard_operational_set
+
         dim = Dimension(d)
         if d == 3:
             states = [magic_state(k, dim) for k in ("strange", "norrell")]
         else:
             states = [magic_state("custom", dim, [0, 1, -1, 0, 0])]
         states.append(random_state(dim, 5))
-        points = [minimize_omega(1.0, rho, SMALL) for rho in states]
-        for point in points[1:]:
-            assert point.params.tobytes() == points[0].params.tobytes()
-            assert point.objective == points[0].objective
+        cached = optimize._full_noise_objective(d)
+        rng = np.random.default_rng(d)
+        xs = [rng.normal(0.0, 0.5, size=2 * d * d) for _ in range(3)]
+        for rho in states:
+            objective = _Objective(standard_operational_set(rho, 1.0))
+            assert [objective(x) for x in xs] == [cached(x) for x in xs]
 
-    def test_subtheory_scope_stays_large(self, strange):
-        point = minimize_omega(1.0, strange, SMALL)
+    def test_operational_set_built_once_per_d(self, monkeypatch, d3):
+        built = []
+        real = optimize.standard_operational_set
+
+        def counted(rho, p):
+            built.append((rho.dim.d, p))
+            return real(rho, p)
+
+        monkeypatch.setattr(optimize, "standard_operational_set", counted)
+        optimize._full_noise_objective.cache_clear()
+        first = minimize_omega(d3, SMALL)
+        second = minimize_omega(d3, SMALL)
+        assert built == [(3, 1.0)]
+        assert second.params.tobytes() == first.params.tobytes()
+        minimize_omega(Dimension(5), SMALL)
+        assert built == [(3, 1.0), (5, 1.0)]
+
+    def test_no_operational_set_is_built_at_import(self):
+        code = (
+            "import magicnoise.cli\n"
+            "from magicnoise import optimize\n"
+            "print(optimize._full_noise_objective.cache_info().currsize)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    def test_subtheory_scope_stays_large(self, d3):
+        point = minimize_omega(d3, SMALL)
         assert point.objective >= subtheory_floor(3)
 
 
@@ -170,7 +218,7 @@ class TestObjective:
         rng = np.random.default_rng(d)
         for _ in range(5):
             x = rng.normal(0.0, 0.5, size=2 * d * d)
-            want = omega(p, decode_frame(dim, x), opset, scope="subtheory")
+            want = omega(decode_frame(dim, x), opset, scope="subtheory")
             assert abs(objective(x) - want) <= 1e-12 * max(1.0, want)
 
     @pytest.mark.parametrize("eps, finite", [(0.0, False), (1e-9, False), (1e-6, True)])

@@ -240,30 +240,23 @@ class TestOmega:
     def test_state_scope_is_magic_state_penalty(self, strange, d3, gross3):
         p = 0.2
         opset = standard_operational_set(strange, p)
-        w = omega(p, gross3, opset, scope="state")
+        w = omega(gross3, opset, scope="state")
         direct = penalty(represent_state(gross3, depolarize(strange, p)))
         assert abs(w - direct) < 1e-14
 
     def test_subtheory_scope_dominates_state_scope(self, strange, d3, mub3):
         p = 0.1
         opset = standard_operational_set(strange, p)
-        assert omega(p, mub3, opset, scope="subtheory") >= omega(
-            p, mub3, opset, scope="state"
-        )
+        assert omega(mub3, opset, scope="subtheory") >= omega(mub3, opset, scope="state")
 
     def test_gross_subtheory_witness_vanishes_at_full_noise(self, strange, d3, gross3):
         opset = standard_operational_set(strange, 1.0)
-        assert omega(1.0, gross3, opset, scope="subtheory") < 1e-10
+        assert omega(gross3, opset, scope="subtheory") < 1e-10
 
     def test_rejects_wrong_scope(self, strange, gross3):
         opset = standard_operational_set(strange, 0.0)
         with pytest.raises(ValueError):
-            omega(0.0, gross3, opset, scope="everything")
-
-    def test_rejects_mismatched_noise(self, strange, gross3):
-        opset = standard_operational_set(strange, 0.3)
-        with pytest.raises(ValueError):
-            omega(0.4, gross3, opset, scope="state")
+            omega(gross3, opset, scope="everything")
 
 
 def _per_item_witness(frame, opset) -> float:
@@ -293,7 +286,7 @@ class TestSubtheoryWitness:
         got = subtheory_witness(frame.analysis_stack(), frame.synthesis_stack(), opset)
         # relative to the value, which reaches ~100 on Haar frames
         assert abs(got - want) <= 1e-12 * max(1.0, want)
-        assert omega(p, frame, opset, scope="subtheory") == got
+        assert omega(frame, opset, scope="subtheory") == got
 
 
 class TestMonotoneDecay:

@@ -6,7 +6,6 @@ import pytest
 
 from magicnoise import (
     Dimension,
-    OptimizerConfig,
     ScanTrace,
     ThresholdResult,
     canonical_mub_frame,
@@ -26,7 +25,6 @@ from magicnoise import (
     scan_csv,
     threshold_trace_csv,
     validate_frame,
-    validation_report_to_dict,
     wigner_threshold,
 )
 
@@ -108,13 +106,12 @@ class TestFrameRoundtrip:
 class TestResultRoundtrip:
     @staticmethod
     def _every_method(rho) -> list:
-        one = OptimizerConfig(restarts=1)
         return [
             wigner_threshold(rho),
             polytope_threshold(rho),
             kd_threshold(rho),
             crit_threshold(rho),
-            crit_threshold(rho, config=one, scope="subtheory"),
+            crit_threshold(rho, scope="subtheory"),
         ]
 
     def test_exact_key_set_and_roundtrip(self, strange):
@@ -166,8 +163,8 @@ class TestResultRoundtrip:
         assert self._every_method(strange) == self._every_method(strange)
 
     def test_validation_report_dict(self, gross3):
-        doc = validation_report_to_dict(validate_frame(gross3))
-        json.dumps(doc)
+        # the validate report's dict is JSON as it stands
+        doc = json.loads(dumps(validate_frame(gross3).to_dict()))
         assert doc["passed"] is True
 
 

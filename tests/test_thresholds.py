@@ -488,7 +488,7 @@ class TestKDThreshold:
         res = kd_threshold(strange, config=FAST, tol=1e-3)
         frame = decode_frame(strange.dim, np.array(res.certificate["frame_params"]))
         opset = standard_operational_set(strange, res.p)
-        value = omega(res.p, frame, opset, scope="state")
+        value = omega(frame, opset, scope="state")
         assert abs(value - res.certificate["objective"]) < 1e-9
         assert not DELETED_KD_KEYS & set(res.certificate)
 
