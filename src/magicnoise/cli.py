@@ -25,14 +25,7 @@ from . import __version__
 from .frames import canonical_mub_frame, gross_wigner_frame, validate_frame
 from .qudit import MAGIC_STATE_KINDS, Dimension, magic_state, maximally_mixed
 from .representations import QuasiDistribution, penalty, represent_state
-from .serialize import (
-    as_int,
-    dumps,
-    frame_from_dict,
-    result_to_dict,
-    scan_csv,
-    threshold_trace_csv,
-)
+from .serialize import as_int, csv_table, dumps, frame_from_dict, result_to_dict, scan_csv
 from .thresholds import (
     NoThresholdError,
     crit_threshold,
@@ -172,8 +165,11 @@ def _parse_vec(text: str) -> np.ndarray:
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
 def _report(config: dict, result: dict) -> str:
@@ -215,7 +211,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             f"kind={result.kind}",
             f"p={result.p!r}",
         ]
-        text = threshold_trace_csv(result, preamble=preamble)
+        text = csv_table(("kind", "p"), [(result.kind, result.p)], preamble)
     _emit(text, args.out)
     return 0
 

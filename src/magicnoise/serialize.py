@@ -15,7 +15,7 @@ import numpy as np
 
 from .frames import ExactFrame
 from .qudit import Dimension, Operator
-from .thresholds import ScanTrace, ThresholdResult
+from .thresholds import ThresholdResult
 
 
 def _unsigned_zero(x) -> float:
@@ -128,7 +128,6 @@ def result_to_dict(result: ThresholdResult) -> dict:
         "kind": result.kind,
         "p": float(result.p),
         "certificate": jsonable(result.certificate),
-        "scan": [[float(p), float(w)] for p, w in result.scan],
         "tol": float(result.tol),
     }
 
@@ -148,12 +147,16 @@ def _stored(value):
 
 def result_from_dict(data: dict) -> ThresholdResult:
     """Inverse of result_to_dict: the result read back compares equal. The
-    upper_bound and seed keys of older reports are ignored."""
+    scan, upper_bound and seed keys of older reports are ignored, and so is
+    the copy of p their polytope certificates held as noise."""
+    kind = str(data["kind"])
+    certificate = dict(data["certificate"])
+    if kind == "polytope":
+        certificate.pop("noise", None)
     return ThresholdResult(
-        kind=str(data["kind"]),
+        kind=kind,
         p=float(data["p"]),
-        certificate=_stored(dict(data["certificate"])),
-        scan=ScanTrace(data["scan"]),
+        certificate=_stored(certificate),
         tol=float(data["tol"]),
     )
 
@@ -162,20 +165,18 @@ def _float_str(x: float) -> str:
     return repr(_unsigned_zero(x))
 
 
-def threshold_trace_csv(result: ThresholdResult, preamble: Sequence[str] = ()) -> str:
-    """CSV export of a threshold scan trace with header `p,witness`."""
+def csv_table(header: Sequence[str], rows: Iterable[tuple], preamble: Sequence[str] = ()) -> str:
+    """CSV of rows under header, after one `# ` comment line per preamble
+    entry; floats are written by repr, -0.0 as 0.0."""
     lines = [f"# {line}" for line in preamble]
-    lines.append("p,witness")
-    for p, w in result.scan:
-        lines.append(f"{_float_str(p)},{_float_str(w)}")
+    lines.append(",".join(header))
+    for row in rows:
+        cells = (_float_str(v) if isinstance(v, float) else str(v) for v in row)
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def scan_csv(rows: Iterable[tuple], preamble: Sequence[str] = ()) -> str:
     """CSV export of witness scans: p,frame,witness,min_real,max_abs_imag."""
-    lines = [f"# {line}" for line in preamble]
-    lines.append("p,frame,witness,min_real,max_abs_imag")
-    for p, frame_name, witness, min_real, max_imag in rows:
-        numbers = map(_float_str, (witness, min_real, max_imag))
-        lines.append(",".join([_float_str(p), str(frame_name), *numbers]))
-    return "\n".join(lines) + "\n"
+    header = ("p", "frame", "witness", "min_real", "max_abs_imag")
+    return csv_table(header, rows, preamble)

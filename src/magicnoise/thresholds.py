@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -60,58 +59,6 @@ def _packed(values) -> array:
     return array("d", np.asarray(values, dtype=float).tobytes())[:]
 
 
-class ScanTrace(Sequence):
-    """Read-only sequence of (p, witness) pairs of floats, stored as one
-    interleaved array of C doubles (p0, w0, p1, w1, ...).
-
-    It compares equal to another trace or to any sequence of pairs with
-    the same values, such as the tuple of tuples it stands for.
-    """
-
-    __slots__ = ("_flat",)
-
-    def __init__(self, pairs=()):
-        self._flat = _packed([(float(p), float(w)) for p, w in pairs])
-
-    @classmethod
-    def from_columns(cls, points, values) -> ScanTrace:
-        """The trace of equal-length float vectors points and values."""
-        trace = cls.__new__(cls)
-        trace._flat = _packed(np.column_stack((points, values)))
-        return trace
-
-    def __len__(self) -> int:
-        return len(self._flat) // 2
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return ScanTrace(tuple(self)[k])
-        n = len(self)
-        if not -n <= k < n:
-            raise IndexError("scan index out of range")
-        k = 2 * (k % n)
-        return self._flat[k], self._flat[k + 1]
-
-    def __iter__(self):
-        flat = iter(self._flat)
-        return zip(flat, flat)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ScanTrace):
-            return self._flat == other._flat
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        try:
-            return len(other) == len(self) and all(
-                tuple(pair) == mine for pair, mine in zip(other, self)
-            )
-        except TypeError:  # an entry that is not a pair
-            return False
-
-    def __repr__(self) -> str:
-        return f"ScanTrace({list(self)!r})"
-
-
 @dataclass(frozen=True, slots=True)
 class ThresholdResult:
     """Outcome of one threshold computation.
@@ -119,15 +66,13 @@ class ThresholdResult:
     p is the noise threshold, exact up to the method's stated accuracy.
     certificate holds enough data to re-verify the claim from scratch; its
     float vectors are array('d') (np.asarray reads each) and a matrix is a
-    tuple of such rows, so a kept result holds 8 bytes per value. scan
-    records (noise, witness) pairs along the noise line as a ScanTrace;
-    any other sequence of pairs passed in is converted to one.
+    tuple of such rows, so a kept result holds 8 bytes per value. The
+    witness along the noise line is the `scan` subcommand's table.
     """
 
     kind: str
     p: float
     certificate: dict
-    scan: ScanTrace
     tol: float
 
     def __post_init__(self):
@@ -135,8 +80,6 @@ class ThresholdResult:
             raise ValueError(f"unknown threshold kind {self.kind!r}")
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"threshold must lie in [0, 1], got {self.p}")
-        if not isinstance(self.scan, ScanTrace):
-            object.__setattr__(self, "scan", ScanTrace(self.scan))
 
 
 @lru_cache(maxsize=None)
@@ -152,40 +95,6 @@ def gross_representation_values(rho: Operator) -> np.ndarray:
 
 def _negative_part(values: np.ndarray) -> float:
     return float(np.abs(np.minimum(0.0, values)).sum())
-
-
-# The noise levels 0, 0.05, ..., 1 that every trace samples.
-_TRACE_GRID = np.linspace(0.0, 1.0, 21)
-_TRACE_GRID.setflags(write=False)
-
-
-def _trace_points(p_star: float) -> np.ndarray:
-    """The 21 noise levels 0, 0.05, ..., 1 with the threshold merged in
-    (not by np.unique, whose first call imports numpy.ma)."""
-    grid = _TRACE_GRID
-    k = int(np.searchsorted(grid, p_star))
-    if k < grid.size and grid[k] == p_star:
-        return grid
-    return np.concatenate((grid[:k], [p_star], grid[k:]))
-
-
-def _wigner_scan(w: np.ndarray, d2: int, p_star: float) -> ScanTrace:
-    """(p, negative part of (1-p) w + p/d^2) at each trace point, all
-    points in one array pass."""
-    points = _trace_points(p_star)
-    p = points[:, None]
-    negative = np.abs(np.minimum(0.0, (1.0 - p) * w + p / d2)).sum(axis=1)
-    return ScanTrace.from_columns(points, negative)
-
-
-def _polytope_scan(p_star: float) -> ScanTrace:
-    """(q, max(0, (p* - q) / (1 - q))) at each trace point q, 0 at q = 1:
-    the noise the polytope LP optimum still asks for after q."""
-    q = _trace_points(p_star)
-    below = q < 1.0
-    need = np.zeros(q.size)
-    need[below] = np.maximum(0.0, (p_star - q[below]) / (1.0 - q[below]))
-    return ScanTrace.from_columns(q, need)
 
 
 def _wigner_closed_form(rho_m: Operator) -> tuple[float, np.ndarray]:
@@ -229,8 +138,7 @@ def wigner_threshold(rho_m: Operator, tol: float = 1e-6) -> ThresholdResult:
             for k in np.flatnonzero(w < -DEFAULT_TOLERANCES.construction)
         ],
     }
-    scan = _wigner_scan(w, d2, p_star)
-    return ThresholdResult("wigner", p_star, certificate, scan, tol)
+    return ThresholdResult("wigner", p_star, certificate, tol)
 
 
 @dataclass(frozen=True)
@@ -358,9 +266,9 @@ def polytope_threshold(rho_m: Operator, tol: float = 1e-6) -> ThresholdResult:
     tol is recorded in the result for callers that pass a resolution; the
     LP optimum is exact to LP_ACCURACY, far inside it. The certificate also
     records the Wigner threshold and whether the two boundaries coincide
-    within LP_ACCURACY on this line (CONFIRMED/REFUTED). The scan holds the
-    noise the LP optimum still asks for at each trace point q,
-    max(0, (p* - q) / (1 - q)), which is zero exactly from p* on.
+    within LP_ACCURACY on this line (CONFIRMED/REFUTED). From any noise
+    q < p*, the state still needs (p* - q) / (1 - q) more to enter the
+    polytope.
     """
     _check_tol(tol)
     p_star, cert = _polytope_lp(rho_m)
@@ -369,12 +277,11 @@ def polytope_threshold(rho_m: Operator, tol: float = 1e-6) -> ThresholdResult:
     certificate = cert.to_dict()
     certificate.update(
         {
-            "noise": p_star,
             "p_wigner": p_wigner,
             "coincidence_with_wigner": "CONFIRMED" if coincide else "REFUTED",
         }
     )
-    return ThresholdResult("polytope", p_star, certificate, _polytope_scan(p_star), tol)
+    return ThresholdResult("polytope", p_star, certificate, tol)
 
 
 def subtheory_floor(d: int) -> float:
@@ -472,7 +379,7 @@ def kd_threshold(
         "classification_tol": classification_tol,
         "p_wigner": _wigner_closed_form(rho_m)[0],
     }
-    return ThresholdResult("kd", 0.0, certificate, ScanTrace(((0.0, objective),)), tol)
+    return ThresholdResult("kd", 0.0, certificate, tol)
 
 
 def crit_threshold(
@@ -504,7 +411,7 @@ def crit_threshold(
         "per_family": {"gross": gross, "kd": None if kd is None else kd.p},
         "winner": winner.certificate,
     }
-    return ThresholdResult("crit", winner.p, certificate, winner.scan, tol)
+    return ThresholdResult("crit", winner.p, certificate, tol)
 
 
 def mub_frame_stabilizer_check(dim: Dimension) -> dict:

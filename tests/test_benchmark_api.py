@@ -2,9 +2,10 @@
 
 The benchmark's tracer patches two methods by name and its workloads call
 the threshold functions and the CLI directly, so a change under src/ that
-renames or re-signs one of them breaks the benchmark. These tests run the
-benchmark's own code against the package, one cheap operation per
-workload.
+renames or re-signs one of them, or reshapes an output its oracles read,
+breaks the benchmark. These tests run the benchmark's own code against the
+package: every operation of each workload's seed-1 list, checked by its
+oracle.
 """
 
 import sys
@@ -47,7 +48,15 @@ def test_tracer_installs_and_uninstalls():
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_first_op_passes_its_oracle(workload):
-    op = workloads.FIRST_OP[workload]
-    result = workloads.runner(workload)(op)
-    assert oracles.check(op, result, oracles.reference(op)) == []
+def test_every_seed_1_op_passes_its_oracle(workload):
+    ops = workloads.build(workload, 1)
+    assert ops[0] == workloads.FIRST_OP[workload]
+    run = workloads.runner(workload)
+    outputs, problems = [], []
+    for op in ops:
+        outputs.append(run(op))
+        found = oracles.check(op, outputs[-1], oracles.reference(op))
+        problems += [f"{op.label}: {p}" for p in found]
+        if op.rerun_of is not None and outputs[-1] != outputs[op.rerun_of]:
+            problems.append(f"{op.label}: output differs from its first run")
+    assert problems == []

@@ -83,7 +83,7 @@ class TestThresholdCommand:
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         res = doc["result"]
-        assert set(res) == {"kind", "p", "certificate", "scan", "tol"}
+        assert set(res) == {"kind", "p", "certificate", "tol"}
         assert res["kind"] == "kd"
         assert res["p"] == 0.0
         assert set(doc["config"]) == {"d", "state", "vec", "format", "method", "scope"}
@@ -110,7 +110,7 @@ class TestThresholdCommand:
         assert f"# version={magicnoise.__version__}" in lines
         assert any(line.startswith("# method=") for line in lines)
         header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        assert lines[header] == "p,witness"
+        assert lines[header] == "kind,p"
         assert "\r" not in proc.stdout
 
     def test_out_file(self, tmp_path):
@@ -120,6 +120,33 @@ class TestThresholdCommand:
         assert proc.stdout == ""
         doc = json.loads(target.read_text())
         assert doc["result"]["kind"] == "wigner"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["threshold", "--method", "wigner"],
+            ["scan", "--step", "0.5"],
+            ["validate", "--builtin", "gross"],
+        ],
+    )
+    @pytest.mark.parametrize("where", ["missing directory", "a directory"])
+    def test_unwritable_out_exits_1(self, tmp_path, args, where):
+        target = tmp_path if where == "a directory" else tmp_path / "missing" / "report.json"
+        proc = run_cli(*args, "--out", str(target))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"magicnoise: error: cannot write {target}: ")
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["wigner", "polytope", "kd", "crit"])
+    def test_csv_is_the_preamble_and_one_row(self, method):
+        json_p = json.loads(run_cli("threshold", "--method", method).stdout)["result"]["p"]
+        proc = run_cli("threshold", "--method", method, "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.split("\n")
+        comments = [line for line in lines if line.startswith("# ")]
+        assert comments[-2:] == [f"# kind={method}", f"# p={json_p!r}"]
+        assert lines[len(comments):] == ["kind,p", f"{method},{json_p!r}", ""]
 
     def test_no_threshold_exit_code(self):
         proc = run_cli("threshold", "--method", "kd", "--scope", "subtheory")

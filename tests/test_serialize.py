@@ -6,8 +6,6 @@ import pytest
 
 from magicnoise import (
     Dimension,
-    ScanTrace,
-    ThresholdResult,
     canonical_mub_frame,
     crit_threshold,
     dumps,
@@ -23,10 +21,10 @@ from magicnoise import (
     result_from_dict,
     result_to_dict,
     scan_csv,
-    threshold_trace_csv,
     validate_frame,
     wigner_threshold,
 )
+from magicnoise.serialize import csv_table
 
 
 class TestJsonable:
@@ -61,8 +59,7 @@ class TestJsonable:
             "c": complex(-0.0, -0.0),
         }
         assert "-0.0" not in dumps(doc)
-        trace = ThresholdResult("wigner", -0.0, {}, [(-0.0, -0.0)], 1e-6)
-        assert threshold_trace_csv(trace) == "p,witness\n0.0,0.0\n"
+        assert csv_table(("kind", "p"), [("wigner", -0.0)]) == "kind,p\nwigner,0.0\n"
         row = (-0.0, "gross", -0.0, -0.0, -0.0)
         assert scan_csv([row]).endswith("\n0.0,gross,0.0,0.0,0.0\n")
 
@@ -117,7 +114,7 @@ class TestResultRoundtrip:
     def test_exact_key_set_and_roundtrip(self, strange):
         for res in self._every_method(strange):
             data = result_to_dict(res)
-            assert set(data) == {"kind", "p", "certificate", "scan", "tol"}
+            assert set(data) == {"kind", "p", "certificate", "tol"}
             back = result_from_dict(json.loads(dumps(data)))
             assert back == res, res.kind
 
@@ -135,8 +132,6 @@ class TestResultRoundtrip:
         res = compute(rho)
         back = result_from_dict(result_to_dict(res))
         assert dumps(result_to_dict(back)) == dumps(result_to_dict(res))
-        assert isinstance(back.scan, ScanTrace)
-        assert back.scan == res.scan
 
     @pytest.mark.parametrize("state", ["strange", "norrell"])
     def test_polytope_report_has_no_negative_zero(self, request, state):
@@ -154,10 +149,19 @@ class TestResultRoundtrip:
         assert zeros and set(zeros) == {"0.0"}
         assert result_from_dict(data) == res
 
-    def test_reads_older_reports(self, strange):
-        data = result_to_dict(wigner_threshold(strange))
+    @pytest.mark.parametrize(
+        "k", range(5), ids=["wigner", "polytope", "kd", "crit", "crit-subtheory"]
+    )
+    def test_reads_older_reports(self, strange, k):
+        res = self._every_method(strange)[k]
+        data = json.loads(dumps(result_to_dict(res)))
         older = {**data, "upper_bound": False, "seed": None}
-        assert result_from_dict(older) == result_from_dict(data)
+        # the 21-point trace older reports carried, and the polytope
+        # certificate's copy of p
+        older["scan"] = [[0.05 * j, 0.0] for j in range(21)]
+        if res.kind == "polytope":
+            older["certificate"] = {**data["certificate"], "noise": res.p}
+        assert result_from_dict(older) == res
 
     def test_reruns_compare_equal(self, strange):
         assert self._every_method(strange) == self._every_method(strange)
@@ -169,18 +173,9 @@ class TestResultRoundtrip:
 
 
 class TestCSV:
-    def test_threshold_trace_format(self, strange):
-        res = wigner_threshold(strange)
-        text = threshold_trace_csv(res, preamble=["alpha=1"])
-        lines = text.split("\n")
-        assert lines[0] == "# alpha=1"
-        assert lines[1] == "p,witness"
-        assert text.endswith("\n")
-        assert "\r" not in text
-        # each data row holds two parseable floats
-        for row in lines[2:-1]:
-            p, w = row.split(",")
-            float(p), float(w)
+    def test_csv_table_format(self):
+        text = csv_table(("kind", "p"), [("wigner", 0.75)], preamble=["alpha=1"])
+        assert text == "# alpha=1\nkind,p\nwigner,0.75\n"
 
     def test_scan_csv_format(self):
         rows = [(0.0, "gross", 0.25, -0.1, 0.0), (0.5, "kd-mub", 0.1, 0.0, 0.05)]
@@ -192,9 +187,9 @@ class TestCSV:
         assert lines[3] == "0.5,kd-mub,0.1,0.0,0.05"
         assert "\r" not in text
 
-    def test_float_repr_is_locale_free_and_reversible(self, strange):
-        res = wigner_threshold(strange)
-        text = threshold_trace_csv(res)
+    def test_float_repr_is_locale_free_and_reversible(self):
+        values = [(1.0 / 3.0, 1e-300), (0.1, np.nextafter(0.5, 1.0))]
+        text = csv_table(("a", "b"), values)
         rows = text.split("\n")[1:-1]  # drop the header and trailing newline
         parsed = [tuple(float(v) for v in row.split(",")) for row in rows]
-        assert tuple(parsed) == tuple(res.scan)
+        assert parsed == values

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 from array import array
@@ -15,7 +16,6 @@ from magicnoise import (
     NoThresholdError,
     Operator,
     OptimizerConfig,
-    ScanTrace,
     ThresholdResult,
     Tolerances,
     canonical_mub_frame,
@@ -41,12 +41,7 @@ from magicnoise import (
     wigner_threshold,
 )
 from magicnoise import thresholds
-from magicnoise.thresholds import (
-    _polytope_scan,
-    _stabilizer_projectors,
-    _trace_points,
-    _wigner_scan,
-)
+from magicnoise.thresholds import _stabilizer_projectors
 
 # one restart: the subtheory search then runs from the Fourier frame only
 FAST = OptimizerConfig(restarts=1)
@@ -59,61 +54,11 @@ def _crit_subtheory(rho: Operator) -> ThresholdResult:
 class TestThresholdResultType:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
-            ThresholdResult("magic", 0.5, {}, (), 1e-6)
+            ThresholdResult("magic", 0.5, {}, 1e-6)
 
     def test_rejects_out_of_range_p(self):
         with pytest.raises(ValueError):
-            ThresholdResult("wigner", 1.5, {}, (), 1e-6)
-
-    def test_scan_of_pairs_becomes_a_trace(self):
-        res = ThresholdResult("wigner", 0.5, {}, [(0.0, 1.0), [0.5, 0]], 1e-6)
-        assert isinstance(res.scan, ScanTrace)
-        assert res.scan == ((0.0, 1.0), (0.5, 0.0))
-
-
-class TestScanTrace:
-    PAIRS = ((0.0, 0.75), (0.5, -0.0), (1.0, 0.25))
-
-    def test_len_indexing_and_iteration(self):
-        trace = ScanTrace(self.PAIRS)
-        assert len(trace) == 3
-        assert trace[0] == (0.0, 0.75)
-        assert trace[-1] == trace[2] == (1.0, 0.25)
-        assert trace[-3] == trace[0]
-        for k in (3, -4):
-            with pytest.raises(IndexError):
-                trace[k]
-        assert tuple(trace) == self.PAIRS
-        assert isinstance(trace[1:], ScanTrace) and trace[::-2] == self.PAIRS[::-2]
-        assert all(type(p) is type(w) is float for p, w in trace)
-        assert list(reversed(trace)) == list(reversed(self.PAIRS))
-        assert len(ScanTrace()) == 0 and list(ScanTrace()) == []
-
-    def test_from_columns_keeps_every_bit(self):
-        p = np.array([0.0, 0.1, 1.0 / 3.0])
-        w = np.array([-0.0, np.nextafter(0.5, 1.0), 1e-300])
-        trace = ScanTrace.from_columns(p, w)
-        assert _bits(trace) == _bits(zip(p.tolist(), w.tolist()))
-
-    def test_equality(self):
-        trace = ScanTrace(self.PAIRS)
-        assert trace == self.PAIRS and self.PAIRS == trace
-        assert trace == [list(pair) for pair in self.PAIRS]
-        assert trace == ScanTrace(self.PAIRS)
-        assert (trace == ScanTrace(self.PAIRS)) is True
-        assert trace != self.PAIRS[:2]
-        assert trace != ScanTrace(self.PAIRS[:2])
-        assert trace != ((0.0, 0.75), (0.5, 0.0), (1.0, 0.5))
-        assert trace != [1.0, 2.0, 3.0]
-        assert trace != "abc" and trace != 3 and trace != None  # noqa: E711
-
-    def test_read_only(self):
-        trace = ScanTrace(self.PAIRS)
-        with pytest.raises(TypeError):
-            trace[0] = (0.0, 0.0)
-        assert not hasattr(trace, "append")
-        with pytest.raises(AttributeError):
-            trace.extra = 1
+            ThresholdResult("wigner", 1.5, {}, 1e-6)
 
     @pytest.mark.parametrize(
         "compute",
@@ -122,9 +67,11 @@ class TestScanTrace:
     def test_equal_results_compare_true(self, norrell, compute):
         # a certificate holding an ndarray would make == raise instead
         first, second = compute(norrell), compute(norrell)
-        assert isinstance(first.scan, ScanTrace)
         assert (first == second) is True
-        assert (first.scan == second.scan) is True
+
+    def test_fields(self):
+        names = [field.name for field in dataclasses.fields(ThresholdResult)]
+        assert names == ["kind", "p", "certificate", "tol"]
 
 
 class TestWignerThreshold:
@@ -158,14 +105,6 @@ class TestWignerThreshold:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             wigner_threshold(strange, tol=tol)
 
-    def test_scan_trace_is_sorted_and_nonincreasing(self, strange):
-        res = wigner_threshold(strange)
-        ps = [p for p, _ in res.scan]
-        ws = [w for _, w in res.scan]
-        assert ps == sorted(ps)
-        assert all(b <= a + 1e-12 for a, b in zip(ws, ws[1:]))
-        assert any(abs(p - res.p) < 1e-12 for p in ps)
-
     def test_certificate_reverifies(self, strange, d3, gross3):
         res = wigner_threshold(strange)
         rep = np.array(res.certificate["representation_re"])
@@ -187,13 +126,6 @@ class TestWignerThreshold:
         assert vals.shape == (9,)
         assert abs(vals.min() + 1.0 / 3.0) < 1e-12
         assert abs(vals.sum() - 1.0) < 1e-12
-
-
-def test_trace_points_match_np_unique():
-    grid = np.linspace(0.0, 1.0, 21)
-    ps = np.concatenate([grid, np.random.default_rng(5).random(2000), [1e-300]])
-    for p in ps:
-        assert np.array_equal(_trace_points(p), np.unique(np.append(grid, p)))
 
 
 class TestPolytopeMembership:
@@ -275,6 +207,12 @@ class TestPolytopeThreshold:
         assert abs(c.sum() - 1.0) < 1e-8
         assert c.min() >= -1e-10
 
+    def test_certificate_keys(self, strange):
+        # the noise key of older reports repeated p
+        assert set(polytope_threshold(strange).certificate) == {
+            "coefficients", "residual", "witness", "p_wigner", "coincidence_with_wigner"
+        }
+
     def test_tol_is_recorded_not_used(self, strange):
         coarse, fine = polytope_threshold(strange, tol=0.1), polytope_threshold(strange)
         assert coarse.tol == 0.1 and fine.tol == 1e-6
@@ -287,17 +225,6 @@ class TestPolytopeThreshold:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             polytope_threshold(strange, tol=tol)
 
-    def test_scan_is_the_noise_still_needed(self, strange):
-        res = polytope_threshold(strange, tol=1e-3)
-        ps = [q for q, _ in res.scan]
-        assert ps == sorted(ps) and ps[0] == 0.0 and ps[-1] == 1.0
-        assert res.p in ps
-        for q, need in res.scan:
-            if q < res.p:
-                # depolarizing rho_q by need lands exactly on rho_{p*}
-                assert abs(q + need * (1.0 - q) - res.p) < 1e-12
-            else:
-                assert need == 0.0
 
 
 def _highs_polytope_threshold(rho: np.ndarray) -> float:
@@ -379,56 +306,6 @@ class TestPolytopeLPProperties:
         rho = _noisy_state(7, 730295, 0.1)
         res = polytope_threshold(rho)
         assert abs(res.p - _highs_polytope_threshold(rho.entries)) <= 1e-9
-
-
-def _bits(scan: tuple) -> list:
-    """A scan's values down to the bit (and the sign of zero)."""
-    return [(float.hex(p), float.hex(w)) for p, w in scan]
-
-
-def _wigner_scan_loop(w: np.ndarray, d2: int, p_star: float) -> tuple:
-    """Reference: one evaluation per trace point."""
-    return tuple(
-        (float(p), float(np.abs(np.minimum(0.0, (1.0 - p) * w + p / d2)).sum()))
-        for p in _trace_points(p_star)
-    )
-
-
-def _polytope_scan_loop(p_star: float) -> tuple:
-    """Reference: one evaluation per trace point."""
-    return tuple(
-        (float(q), float(max(0.0, (p_star - q) / (1.0 - q))) if q < 1.0 else 0.0)
-        for q in _trace_points(p_star)
-    )
-
-
-class TestVectorizedScans:
-    @pytest.mark.parametrize("d", [3, 5, 7])
-    @given(data=st.data())
-    def test_match_the_per_point_loop(self, d, data):
-        rho = data.draw(noisy_states(d))
-        w = gross_representation_values(rho)
-        wig, poly = wigner_threshold(rho), polytope_threshold(rho)
-        assert _bits(wig.scan) == _bits(_wigner_scan_loop(w, d * d, wig.p))
-        assert _bits(poly.scan) == _bits(_polytope_scan_loop(poly.p))
-
-    def test_stabilizer_state_has_p_star_zero(self, d3):
-        rho = magic_state("custom", d3, custom_vec=[1, 0, 0])
-        wig, poly = wigner_threshold(rho), polytope_threshold(rho)
-        assert wig.p == poly.p == 0.0
-        w = gross_representation_values(rho)
-        assert _bits(wig.scan) == _bits(_wigner_scan_loop(w, 9, 0.0))
-        assert _bits(poly.scan) == _bits(_polytope_scan_loop(0.0))
-        assert len(wig.scan) == len(poly.scan) == 21
-
-    @pytest.mark.parametrize("k", [0, 1, 7, 15, 20])
-    def test_p_star_on_a_grid_point(self, strange, k):
-        p_star = float(np.linspace(0.0, 1.0, 21)[k])
-        w = gross_representation_values(strange)
-        scan = _wigner_scan(w, 9, p_star)
-        assert len(scan) == 21
-        assert _bits(scan) == _bits(_wigner_scan_loop(w, 9, p_star))
-        assert _bits(_polytope_scan(p_star)) == _bits(_polytope_scan_loop(p_star))
 
 
 class TestWignerComputedOncePerAnswer:
@@ -521,11 +398,8 @@ class TestKDThreshold:
         with pytest.raises(RuntimeError, match="above classification_tol 1e-300"):
             kd_threshold(strange)
 
-    def test_scan_matches_bisection_budget(self, strange):
-        res = kd_threshold(strange, config=FAST, tol=1e-2)
-        # no bisection in scope state: the one point is p = 0 itself
-        assert res.scan == ((0.0, res.certificate["objective"]),)
-        assert res.tol == 1e-2
+    def test_tol_is_recorded(self, strange):
+        assert kd_threshold(strange, config=FAST, tol=1e-2).tol == 1e-2
 
     def test_rejects_unknown_scope(self, strange):
         with pytest.raises(ValueError):
@@ -677,7 +551,6 @@ class TestCritThreshold:
         assert res.certificate["family"] == "gross"
         assert res.certificate["per_family"] == {"gross": wigner.p, "kd": None}
         assert res.certificate["winner"] == wigner.certificate
-        assert res.scan == wigner.scan
 
     def test_tie_goes_to_gross(self, d3):
         # a stabilizer state: both families give exactly 0
@@ -753,16 +626,23 @@ class TestResultStorage:
     result per state, so its size sets their memory."""
 
     # tracemalloc bytes per held result, about 15% above the measured
-    # 2,263 / 3,015 / 3,959 (polytope, d = 3 / 5 / 7) and 2,283 (crit);
-    # with Python floats in lists and tuples they were 5,115 / 6,835 /
-    # 9,407 and 4,514 (Python 3.11, NumPy 2.4)
-    POLYTOPE_CEILING = {3: 2_600, 5: 3_470, 7: 4_550}
-    CRIT_CEILING = 2_630
+    # 1,635 / 2,411 / 3,361 (polytope, d = 3 / 5 / 7), 2,191 / 2,959 (kd,
+    # d = 5 / 7) and 1,694 (crit), Python 3.11, NumPy 2.4; with a 21-point
+    # scan trace and Python floats in lists and tuples they were 5,115 /
+    # 6,835 / 9,407 (polytope) and 4,514 (crit)
+    POLYTOPE_CEILING = {3: 1_880, 5: 2_770, 7: 3_870}
+    CRIT_CEILING = 1_950
+    KD_CEILING = {5: 2_520, 7: 3_400}
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_bytes_per_polytope_result(self, d):
         states = [_noisy_state(d, seed, 0.05) for seed in range(1, 5)]
         assert _bytes_per_result(polytope_threshold, states) <= self.POLYTOPE_CEILING[d]
+
+    @pytest.mark.parametrize("d", [5, 7])
+    def test_bytes_per_kd_result(self, d):
+        states = [_noisy_state(d, seed, 0.05) for seed in range(1, 5)]
+        assert _bytes_per_result(kd_threshold, states) <= self.KD_CEILING[d]
 
     def test_bytes_per_crit_result(self, strange, norrell):
         states = [strange, norrell, _noisy_state(3, 1, 0.05)]
@@ -776,7 +656,6 @@ class TestResultStorage:
         for rho in (strange, _noisy_state(5, 5, 0.05)):
             res = compute(rho)
             assert list(_unpacked_vectors(res.certificate)) == [], res.kind
-            assert isinstance(res.scan, ScanTrace)
 
     def test_vectors_read_back_as_arrays(self, strange):
         cert = polytope_threshold(strange).certificate
