@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare all four noise thresholds for one magic state.
 
-Computes, for a chosen state and dimension, the noise rates at which
+Computes, for a chosen qutrit magic state, the noise rates at which
 
   * the Gross-Wigner representation turns non-negative (wigner),
   * the state enters the stabilizer polytope (polytope),
@@ -30,15 +30,14 @@ from magicnoise import (
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--d", type=int, default=3, help="odd prime dimension")
     ap.add_argument(
-        "--state", default="strange", help="magic state kind (strange | norrell)"
+        "--state", default="strange", choices=("strange", "norrell"),
+        help="qutrit magic state kind",
     )
     ap.add_argument("--out", help="also write the raw results to this JSON file")
     args = ap.parse_args()
 
-    dim = Dimension(args.d)
-    rho = magic_state(args.state, dim)
+    rho = magic_state(args.state, Dimension(3))
 
     results = {}
     for name, compute in (
@@ -61,8 +60,12 @@ def main() -> int:
         from magicnoise import dumps, result_to_dict
 
         doc = {name: result_to_dict(res) for name, res in results.items()}
-        with open(args.out, "w") as fh:
-            fh.write(dumps(doc))
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(dumps(doc))
+        except OSError as exc:
+            print(f"{ap.prog}: error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {args.out}")
     return 0
 

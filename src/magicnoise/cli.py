@@ -243,12 +243,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
     for name, build in BUILTIN_FRAMES.items():
         frame = build(dim)
         mu = [represent_state(frame, state).flat() for state in states]
-        linear.append((name, frame.labels, *mu))
+        linear.append((name, *mu))
     rows = []
     for p in grid:
-        for name, labels, mu_rho, mu_mixed in linear:
+        for name, mu_rho, mu_mixed in linear:
             values = (1.0 - p) * mu_rho + p * mu_mixed
-            dist = QuasiDistribution(labels, values, "state")
+            dist = QuasiDistribution(values, "state")
             extremes = float(values.real.min()), float(np.abs(values.imag).max())
             rows.append((p, name, penalty(dist), *extremes))
 

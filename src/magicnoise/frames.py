@@ -38,21 +38,22 @@ class DegenerateFrameError(ValueError):
 class ExactFrame:
     """A biorthogonal frame pair over d^2 sample points.
 
-    labels:    hashable point labels, length d^2
     analysis:  operators F_lam defining state distributions
     synthesis: operators D_lam defining effect distributions
     descriptor: JSON-able provenance record, e.g. {"kind": "gross"}
+
+    Point k is the pair (i, j) = divmod(k, d): the bases (a_i, b_j) of a
+    KD frame, the phase-space point (p, q) of the Gross frame.
     """
 
     dim: Dimension
-    labels: tuple
     analysis: tuple[Operator, ...]
     synthesis: tuple[Operator, ...]
     descriptor: dict
 
     def __post_init__(self):
         n = self.dim.d ** 2
-        if not (len(self.labels) == len(self.analysis) == len(self.synthesis) == n):
+        if not (len(self.analysis) == len(self.synthesis) == n):
             raise ValueError(f"frame must have exactly {n} sample points")
         for op in self.analysis + self.synthesis:
             if op.dim != self.dim:
@@ -96,7 +97,6 @@ def kd_frame(
             f"overlap <b_{j}|a_{i}> has modulus {abs(overlaps[j, i]):.3e} "
             f"<= {OVERLAP_FLOOR:g}"
         )
-    labels = []
     analysis = []
     synthesis = []
     for i in range(d):
@@ -104,12 +104,11 @@ def kd_frame(
             # |b_j><b_j|a_i><a_i| collapses to a scaled rank-1 outer product
             f = overlaps[j, i] * np.outer(b[:, j], a[:, i].conj())
             dual = np.outer(a[:, i], b[:, j].conj()) / overlaps[j, i]
-            labels.append((i, j))
             analysis.append(Operator(dim, f, role="generic"))
             synthesis.append(Operator(dim, dual, role="generic"))
     if descriptor is None:
         descriptor = {"kind": "kd"}
-    return ExactFrame(dim, tuple(labels), tuple(analysis), tuple(synthesis), descriptor)
+    return ExactFrame(dim, tuple(analysis), tuple(synthesis), descriptor)
 
 
 def phase_point_operators(dim: Dimension) -> tuple[Operator, ...]:
@@ -134,10 +133,8 @@ def gross_wigner_frame(dim: Dimension) -> ExactFrame:
     All frame operators are Hermitian, so state distributions are real.
     """
     points = phase_point_operators(dim)
-    d = dim.d
-    labels = tuple((p, q) for p in range(d) for q in range(d))
-    analysis = tuple(Operator(dim, op.entries / d, role="generic") for op in points)
-    return ExactFrame(dim, labels, analysis, points, {"kind": "gross"})
+    analysis = tuple(Operator(dim, op.entries / dim.d, role="generic") for op in points)
+    return ExactFrame(dim, analysis, points, {"kind": "gross"})
 
 
 def frame_from_unitaries(u: Operator, v: Operator) -> ExactFrame:
@@ -346,7 +343,7 @@ def validate_frame(frame: ExactFrame) -> FrameValidationReport:
     n = d * d
     fs = frame.analysis_stack()
     ds = frame.synthesis_stack()
-    size_ok = len(frame.labels) == n and fs.shape[0] == n and ds.shape[0] == n
+    size_ok = fs.shape[0] == n and ds.shape[0] == n
 
     # Tr(D_a F_b) over all pairs
     gram = np.einsum("aij,bji->ab", ds, fs)

@@ -1,6 +1,6 @@
-"""Deterministic frame search: a multi-restart downhill simplex over the
-unitary parameters of Kirkwood-Dirac frames (frames.decode_frame) for the
-subtheory witness at full noise."""
+"""Deterministic frame search: one downhill simplex from the
+computational/Fourier frame over the unitary parameters of Kirkwood-Dirac
+frames (frames.decode_frame) for the subtheory witness at full noise."""
 
 from __future__ import annotations
 
@@ -35,13 +35,11 @@ MAX_ITERATIONS = 400
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the multi-restart frame search.
+    """Accepted by kd_threshold and crit_threshold, and changes nothing.
 
-    restarts numbers the downhill-simplex runs: restart 0 starts at the
-    computational/Fourier frame and restart r >= 2 at a random point drawn
-    from np.random.default_rng(r). Restart 1 would start at the noisy
-    state's eigenbasis frame, which at full noise is the Fourier start bit
-    for bit, so it does not run: restarts 1 and 2 give the same search.
+    The frame search is one downhill-simplex run from the Fourier frame
+    (minimize_omega), which only cross-checks the proven subtheory_floor,
+    so restarts is validated and then ignored.
     """
 
     restarts: int = 1
@@ -50,19 +48,6 @@ class OptimizerConfig:
         r = self.restarts
         if isinstance(r, bool) or not isinstance(r, int) or r < 1:
             raise ValueError(f"restarts must be a positive integer, got {r!r}")
-
-
-@dataclass(frozen=True)
-class FrameSearchPoint:
-    """Best parameter vector found by a search, with its witness value."""
-
-    params: np.ndarray
-    objective: float
-
-    def __post_init__(self):
-        arr = np.array(self.params, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "params", arr)
 
 
 def nelder_mead(
@@ -156,31 +141,19 @@ def _full_noise_objective(d: int) -> _Objective:
     return _Objective(standard_operational_set(maximally_mixed(dim), 1.0))
 
 
-def minimize_omega(dim: Dimension, config: OptimizerConfig) -> FrameSearchPoint:
+def minimize_omega(dim: Dimension) -> tuple[np.ndarray, float]:
     """Search KD frames for the smallest subtheory witness value at full
-    noise, p = 1 (the operational set of standard_operational_set).
-
-    Restart 0 starts at the computational/Fourier frame and restart r >= 2
-    at a random point drawn from np.random.default_rng(r); restart 1 does
-    not run (see OptimizerConfig). The best run wins, the lower restart on
-    a tie, so enlarging the restart budget can only improve the returned
-    objective.
+    noise, p = 1 (the operational set of standard_operational_set): one
+    nelder_mead run from the computational/Fourier frame. Returns its best
+    (params, objective) after checking that params decode to a valid frame.
     """
-    objective = _full_noise_objective(dim.d)
-    d2 = dim.d ** 2
-    starts = [np.concatenate([np.zeros(d2), params_from_unitary(fourier_gate(dim))])]
-    starts += [
-        np.random.default_rng(r).normal(0.0, SIMPLEX_SCALE, size=2 * d2)
-        for r in range(2, config.restarts)
-    ]
-    runs = [
-        nelder_mead(objective, x0, SIMPLEX_SCALE, MAX_ITERATIONS, SPREAD_TOL)
-        for x0 in starts
-    ]
-    best_x, best_f = min(runs, key=lambda run: run[1])
-    report = validate_frame(decode_frame(dim, best_x))
+    start = np.concatenate([np.zeros(dim.d ** 2), params_from_unitary(fourier_gate(dim))])
+    params, objective = nelder_mead(
+        _full_noise_objective(dim.d), start, SIMPLEX_SCALE, MAX_ITERATIONS, SPREAD_TOL
+    )
+    report = validate_frame(decode_frame(dim, params))
     if not report.passed:
         raise RuntimeError(
             f"search returned an invalid frame (residuals {report.to_dict()})"
         )
-    return FrameSearchPoint(params=best_x, objective=best_f)
+    return params, objective

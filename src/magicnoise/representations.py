@@ -32,12 +32,12 @@ _SUBJECTS = ("state", "effect", "channel")
 class QuasiDistribution:
     """Complex-valued distribution over frame sample points.
 
-    values is 1-D for states and effects (aligned with labels) and 2-D for
-    channels, where values[out, in] pairs with labels[out * n + in].
+    values is 1-D for states and effects, with entry k at the frame's
+    point k (ExactFrame), or at the row-major index of the outcome tuple
+    for the Kirkwood-Dirac forms; it is 2-D for channels, values[out, in].
     State-subject distributions must sum to one.
     """
 
-    labels: tuple
     values: np.ndarray
     subject: str
 
@@ -47,8 +47,6 @@ class QuasiDistribution:
         object.__setattr__(self, "values", arr)
         if self.subject not in _SUBJECTS:
             raise ValueError(f"subject must be one of {_SUBJECTS}")
-        if arr.size != len(self.labels):
-            raise ValueError("labels and values must have matching sizes")
         if self.subject == "state":
             total = arr.sum()
             if abs(total - 1.0) > DEFAULT_TOLERANCES.validation:
@@ -129,7 +127,6 @@ class OperationalSet:
     channels: tuple[Channel, ...]
     effects: tuple[Operator, ...]
     magic_state: Operator
-    noise: float
 
     def __post_init__(self):
         if not self.states or not self.channels or not self.effects:
@@ -169,7 +166,7 @@ def standard_operational_set(rho_m: Operator, p: float) -> OperationalSet:
         unitary_channel(cliffords[2], name="shift"),
         unitary_channel(cliffords[3], name="clock"),
     )
-    return OperationalSet(dim, states, channels, effects, noisy, float(p))
+    return OperationalSet(dim, states, channels, effects, noisy)
 
 
 def represent_state(frame: ExactFrame, rho: Operator) -> QuasiDistribution:
@@ -178,7 +175,7 @@ def represent_state(frame: ExactFrame, rho: Operator) -> QuasiDistribution:
         raise DimensionMismatchError("state and frame dimensions differ")
     fs = frame.analysis_stack()
     values = np.einsum("lij,ji->l", fs, rho.entries)
-    return QuasiDistribution(frame.labels, values, "state")
+    return QuasiDistribution(values, "state")
 
 
 def represent_effect(frame: ExactFrame, effect: Operator) -> QuasiDistribution:
@@ -187,7 +184,7 @@ def represent_effect(frame: ExactFrame, effect: Operator) -> QuasiDistribution:
         raise DimensionMismatchError("effect and frame dimensions differ")
     ds = frame.synthesis_stack()
     values = np.einsum("lij,ji->l", ds, effect.entries)
-    return QuasiDistribution(frame.labels, values, "effect")
+    return QuasiDistribution(values, "effect")
 
 
 def represent_channel(
@@ -204,10 +201,7 @@ def represent_channel(
     fs = frame_out.analysis_stack()
     moved = np.stack([channel.apply(dk) for dk in ds])
     values = np.einsum("oij,lji->ol", fs, moved)
-    labels = tuple(
-        (lo, li) for lo in frame_out.labels for li in frame_in.labels
-    )
-    return QuasiDistribution(labels, values, "channel")
+    return QuasiDistribution(values, "channel")
 
 
 def kd_matrix(
@@ -222,8 +216,7 @@ def kd_matrix(
     a = orthonormal_basis(dim, basis_a, "A")
     b = orthonormal_basis(dim, basis_b, "B")
     values = (a.conj().T @ rho.entries @ b) * (b.conj().T @ a).T
-    labels = tuple((i, j) for i in range(dim.d) for j in range(dim.d))
-    return QuasiDistribution(labels, values.reshape(-1), "state")
+    return QuasiDistribution(values.reshape(-1), "state")
 
 
 def kd_sequential(rho: Operator, bases: Sequence[np.ndarray]) -> QuasiDistribution:
@@ -250,8 +243,7 @@ def kd_sequential(rho: Operator, bases: Sequence[np.ndarray]) -> QuasiDistributi
         for t in range(k - 1):
             amp = amp * chain[t][idx[t + 1], idx[t]]
         values[idx] = amp
-    labels = tuple(itertools.product(range(d), repeat=k))
-    return QuasiDistribution(labels, values.reshape(-1), "state")
+    return QuasiDistribution(values.reshape(-1), "state")
 
 
 def _effect_matrix(e) -> np.ndarray:
@@ -267,8 +259,7 @@ def kd_povm(rho: Operator, povms: Sequence[Sequence]) -> QuasiDistribution:
     explicit operator products. Each POVM must resolve the identity and
     have positive semidefinite elements.
     """
-    dim = rho.dim
-    d = dim.d
+    d = rho.dim.d
     vt = DEFAULT_TOLERANCES.validation
     stacks = []
     for k, povm in enumerate(povms):
@@ -290,8 +281,7 @@ def kd_povm(rho: Operator, povms: Sequence[Sequence]) -> QuasiDistribution:
         for k, i in enumerate(idx):
             prod = stacks[k][i] @ prod
         values[idx] = np.trace(prod)
-    labels = tuple(itertools.product(*[range(c) for c in counts]))
-    return QuasiDistribution(labels, values.reshape(-1), "state")
+    return QuasiDistribution(values.reshape(-1), "state")
 
 
 def _penalties(values: np.ndarray, axis) -> np.ndarray:
@@ -318,8 +308,8 @@ def subtheory_witness(fs: np.ndarray, ds: np.ndarray, opset: OperationalSet) -> 
 
 
 def omega(frame: ExactFrame, opset: OperationalSet, scope: str = "state") -> float:
-    """Witness value at the noise level opset.noise: the largest penalty
-    over the probed representations.
+    """Witness value for the operational set opset, built at one noise
+    level: the largest penalty over the probed representations.
 
     scope "state" penalizes only the noisy magic state's distribution;
     scope "subtheory" takes the maximum over every state, channel, and

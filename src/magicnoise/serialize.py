@@ -114,13 +114,11 @@ def frame_to_dict(frame: ExactFrame) -> dict:
 
 def frame_from_dict(data: dict) -> ExactFrame:
     _require(data, "frame", ("d", "F", "D"))
-    d = as_int("d", data["d"])
-    dim = Dimension(d)
+    dim = Dimension(as_int("d", data["d"]))
     analysis = _operators(data, "F")
     synthesis = _operators(data, "D")
-    labels = tuple((k // d, k % d) for k in range(d * d))
     descriptor = dict(data.get("descriptor", {"kind": "unknown"}))
-    return ExactFrame(dim, labels, analysis, synthesis, descriptor)
+    return ExactFrame(dim, analysis, synthesis, descriptor)
 
 
 def result_to_dict(result: ThresholdResult) -> dict:
@@ -149,6 +147,8 @@ def result_from_dict(data: dict) -> ThresholdResult:
     """Inverse of result_to_dict: the result read back compares equal. The
     scan, upper_bound and seed keys of older reports are ignored, and so is
     the copy of p their polytope certificates held as noise."""
+    _require(data, "report", ("kind", "p", "certificate", "tol"))
+    _require(data["certificate"], "certificate", ())
     kind = str(data["kind"])
     certificate = dict(data["certificate"])
     if kind == "polytope":

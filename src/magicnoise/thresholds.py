@@ -88,8 +88,8 @@ def _gross_frame(d: int) -> ExactFrame:
 
 
 def gross_representation_values(rho: Operator) -> np.ndarray:
-    """Real Wigner-type distribution values of a state (order: row-major
-    phase-space labels)."""
+    """Real Wigner-type distribution values of a state, at the phase-space
+    points (p, q) in row-major order."""
     return represent_state(_gross_frame(rho.dim.d), rho).flat().real.copy()
 
 
@@ -323,15 +323,16 @@ def kd_threshold(
     B = A F (F the Fourier gate), Q_ij = lambda_i |<a_i|b_j>|^2 =
     lambda_i / d >= 0, so the threshold is exactly 0, certified by that
     frame (validated, and its witness rechecked against
-    DEFAULT_TOLERANCES.classification, which round-off never reaches);
-    config is not used. The certificate stores the frame's parameters so
-    the claim can be re-verified by decoding and re-evaluating, and records
-    the Wigner threshold p_wigner alongside.
+    DEFAULT_TOLERANCES.classification, which round-off never reaches).
+    The certificate stores the frame's parameters so the claim can be
+    re-verified by decoding and re-evaluating, and records the Wigner
+    threshold p_wigner alongside.
 
     scope "subtheory" has no threshold: every frame keeps the witness at
     or above subtheory_floor(d) at every p. One frame search at p = 1,
-    where it depends on d alone (minimize_omega, run with config),
-    cross-checks that floor, and NoThresholdError names both values.
+    where it depends on d alone (minimize_omega), cross-checks that floor,
+    and NoThresholdError names both values. config changes nothing (see
+    OptimizerConfig).
     """
     if scope not in ("state", "subtheory"):
         raise ValueError("scope must be 'state' or 'subtheory'")
@@ -340,16 +341,16 @@ def kd_threshold(
 
     if scope == "subtheory":
         floor = subtheory_floor(dim.d)
-        best = minimize_omega(dim, config or OptimizerConfig())
-        if best.objective < floor:
+        _, best = minimize_omega(dim)
+        if best < floor:
             raise RuntimeError(
-                f"frame search found witness {best.objective!r} below the "
+                f"frame search found witness {best!r} below the "
                 f"proven floor {floor!r}"
             )
         raise NoThresholdError(
             f"no KD frame classicalizes the stabilizer subtheory at any "
             f"noise: the witness is at least subtheory_floor({dim.d}) = "
-            f"{floor:.4f} (best found at p = 1: {best.objective:.4f})"
+            f"{floor:.4f} (best found at p = 1: {best:.4f})"
         )
 
     params = eigenbasis_frame_params(rho_m)
@@ -395,10 +396,11 @@ def crit_threshold(
     In scope "state" the KD family wins with its exact 0, and gross is the
     p_wigner its certificate records; in scope "subtheory" KD has no
     threshold (see subtheory_floor), so the result is the Wigner threshold.
+    config is accepted and changes nothing (see OptimizerConfig).
     """
     _check_tol(tol)
     try:
-        kd = kd_threshold(rho_m, config=config, scope=scope, tol=tol)
+        kd = kd_threshold(rho_m, scope=scope, tol=tol)
     except NoThresholdError:
         kd = None
     if kd is not None and kd.p < kd.certificate["p_wigner"]:

@@ -74,10 +74,9 @@ class TestGrossFrame:
         report = validate_frame(gross_wigner_frame(Dimension(d)))
         assert report.passed, report.to_dict()
 
-    def test_descriptor_and_labels(self, gross3):
+    def test_descriptor_and_size(self, gross3):
         assert gross3.descriptor == {"kind": "gross"}
-        assert gross3.labels[:4] == ((0, 0), (0, 1), (0, 2), (1, 0))
-        assert len(gross3.labels) == 9
+        assert len(gross3.analysis) == len(gross3.synthesis) == 9
 
     def test_analysis_is_synthesis_over_d(self, gross3):
         for f, dd in zip(gross3.analysis, gross3.synthesis):
@@ -100,10 +99,9 @@ class TestKDFrame:
     def test_point_operators(self, mub3, d3):
         comp = computational_basis(d3)
         four = fourier_basis(d3)
-        # flat index i*d + j labels pair (a_i, b_j)
-        i, j = 1, 2
-        k = i * 3 + j
-        assert mub3.labels[k] == (i, j)
+        # point k is the pair (a_i, b_j) with (i, j) = divmod(k, d)
+        k = 5
+        i, j = divmod(k, 3)
         ov = four[:, j].conj() @ comp[:, i]
         f_expect = ov * np.outer(four[:, j], comp[:, i].conj())
         d_expect = np.outer(comp[:, i], four[:, j].conj()) / ov
@@ -171,7 +169,7 @@ class TestValidationReport:
         bad[0, 0] += 0.05
         analysis[0] = Operator(d3, bad)
         broken = type(mub3)(
-            d3, mub3.labels, tuple(analysis), mub3.synthesis, dict(mub3.descriptor)
+            d3, tuple(analysis), mub3.synthesis, dict(mub3.descriptor)
         )
         report = validate_frame(broken)
         assert not report.passed
@@ -220,7 +218,8 @@ class TestRepresentationValues:
             (0, 1): 1 / 3,
             (0, 2): -1 / 6,
         }
-        for k, lab in enumerate(gross3.labels):
+        for k in range(9):
+            lab = divmod(k, 3)
             want = expect.get(lab, 1 / 6)
             assert abs(vals[k] - want) < 1e-12, lab
 

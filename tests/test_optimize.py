@@ -7,7 +7,6 @@ import pytest
 
 from magicnoise import (
     Dimension,
-    FrameSearchPoint,
     Operator,
     OptimizerConfig,
     decode_frame,
@@ -23,9 +22,7 @@ from magicnoise import (
 )
 from magicnoise import optimize
 from magicnoise.frames import OVERLAP_FLOOR
-from magicnoise.optimize import SIMPLEX_SCALE, _Objective
-
-SMALL = OptimizerConfig(restarts=2)
+from magicnoise.optimize import _Objective
 
 
 class TestOptimizerConfig:
@@ -84,10 +81,10 @@ class TestNelderMead:
         assert r1[1] == r2[1]
 
 
-class TestRestartSeeds:
-    @staticmethod
-    def _starts(monkeypatch, restarts: int, d: int = 3) -> list[np.ndarray]:
-        """The start of every run, each run stopped where it starts."""
+class TestSearchStart:
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_one_run_from_the_fourier_frame(self, monkeypatch, d):
+        dim = Dimension(d)
         starts = []
 
         def record(fn, x0, *args):
@@ -95,64 +92,25 @@ class TestRestartSeeds:
             return x0, fn(x0)
 
         monkeypatch.setattr(optimize, "nelder_mead", record)
-        minimize_omega(Dimension(d), OptimizerConfig(restarts=restarts))
-        return starts
-
-    def test_distinct_and_deterministic(self, monkeypatch):
-        first = self._starts(monkeypatch, 6)
-        again = self._starts(monkeypatch, 6)
-        assert len({x.tobytes() for x in first}) == 5
-        assert all(np.array_equal(a, b) for a, b in zip(first, again))
-
-    @pytest.mark.parametrize("restarts, runs", [(1, 1), (2, 1), (3, 2), (6, 5)])
-    def test_restart_one_never_runs(self, monkeypatch, restarts, runs):
-        assert len(self._starts(monkeypatch, restarts)) == runs
-
-    @pytest.mark.parametrize("d", [3, 5])
-    def test_restart_zero_is_the_fourier_frame(self, monkeypatch, d):
-        dim = Dimension(d)
-        (start,) = self._starts(monkeypatch, 1, d)
+        minimize_omega(dim)
         want = np.concatenate([np.zeros(d * d), params_from_unitary(fourier_gate(dim))])
-        assert start.tobytes() == want.tobytes()
-
-    def test_range(self, monkeypatch):
-        # over the whole range of restarts, r >= 2 is seeded by r alone
-        starts = self._starts(monkeypatch, 6)
-        for r, start in zip(range(2, 6), starts[1:]):
-            want = np.random.default_rng(r).normal(0.0, SIMPLEX_SCALE, size=18)
-            assert np.array_equal(start, want)
-
-    def test_restarts_one_and_two_give_the_same_bytes(self, d3):
-        one = minimize_omega(d3, OptimizerConfig(restarts=1))
-        two = minimize_omega(d3, OptimizerConfig(restarts=2))
-        assert two.params.tobytes() == one.params.tobytes()
-        assert two.objective == one.objective
+        assert [x.tobytes() for x in starts] == [want.tobytes()]
 
 
 class TestMinimizeOmega:
     def test_certificate_frame_is_valid_and_reproduces_objective(self, d3):
         from magicnoise import omega, standard_operational_set
 
-        point = minimize_omega(d3, SMALL)
-        assert isinstance(point, FrameSearchPoint)
-        frame = decode_frame(d3, point.params)
+        params, objective = minimize_omega(d3)
+        frame = decode_frame(d3, params)
         assert validate_frame(frame).passed
         opset = standard_operational_set(maximally_mixed(d3), 1.0)
         value = omega(frame, opset, scope="subtheory")
-        assert abs(value - point.objective) < 1e-9
+        assert abs(value - objective) < 1e-9
 
-    @pytest.mark.parametrize(
-        "restarts, objective",
-        [(1, 16.39230484541327), (2, 16.39230484541327), (3, 13.451015502270055)],
-    )
-    def test_pinned_qutrit_objectives(self, d3, restarts, objective):
-        point = minimize_omega(d3, OptimizerConfig(restarts=restarts))
-        assert point.objective == pytest.approx(objective, rel=1e-9, abs=0.0)
-
-    def test_more_restarts_never_hurt(self, d3):
-        few = minimize_omega(d3, OptimizerConfig(restarts=2))
-        more = minimize_omega(d3, OptimizerConfig(restarts=3))
-        assert more.objective <= few.objective
+    def test_pinned_qutrit_objective(self, d3):
+        _, objective = minimize_omega(d3)
+        assert objective == pytest.approx(16.39230484541327, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_full_noise_objective_ignores_the_state(self, d):
@@ -182,11 +140,11 @@ class TestMinimizeOmega:
 
         monkeypatch.setattr(optimize, "standard_operational_set", counted)
         optimize._full_noise_objective.cache_clear()
-        first = minimize_omega(d3, SMALL)
-        second = minimize_omega(d3, SMALL)
+        first, _ = minimize_omega(d3)
+        second, _ = minimize_omega(d3)
         assert built == [(3, 1.0)]
-        assert second.params.tobytes() == first.params.tobytes()
-        minimize_omega(Dimension(5), SMALL)
+        assert second.tobytes() == first.tobytes()
+        minimize_omega(Dimension(5))
         assert built == [(3, 1.0), (5, 1.0)]
 
     def test_no_operational_set_is_built_at_import(self):
@@ -202,8 +160,8 @@ class TestMinimizeOmega:
         assert proc.stdout == "0\n"
 
     def test_subtheory_scope_stays_large(self, d3):
-        point = minimize_omega(d3, SMALL)
-        assert point.objective >= subtheory_floor(3)
+        _, objective = minimize_omega(d3)
+        assert objective >= subtheory_floor(3)
 
 
 class TestObjective:

@@ -40,17 +40,12 @@ seeds = st.integers(0, 10_000)
 
 class TestQuasiDistribution:
     def test_state_distribution_must_sum_to_one(self, d3):
-        labels = tuple(range(9))
         with pytest.raises(ValueError):
-            QuasiDistribution(labels, np.full(9, 0.5), "state")
+            QuasiDistribution(np.full(9, 0.5), "state")
 
     def test_rejects_unknown_subject(self, d3):
         with pytest.raises(ValueError):
-            QuasiDistribution((0,), np.array([1.0]), "witness")
-
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(ValueError):
-            QuasiDistribution((0, 1), np.array([1.0]), "state")
+            QuasiDistribution(np.array([1.0]), "witness")
 
     def test_values_read_only(self, gross3, strange):
         dist = represent_state(gross3, strange)
@@ -195,12 +190,12 @@ class TestKDForms:
 
 class TestWitnessFunctionals:
     def test_penalty_zero_on_probability_vector(self):
-        dist = QuasiDistribution(tuple(range(4)), np.full(4, 0.25), "state")
+        dist = QuasiDistribution(np.full(4, 0.25), "state")
         assert penalty(dist) == 0.0
 
     def test_penalty_counts_negativity_and_imaginarity(self):
         vals = np.array([0.5, -0.25, 0.75 + 0.5j, -0.25j])
-        dist = QuasiDistribution(tuple(range(4)), vals, "effect")
+        dist = QuasiDistribution(vals, "effect")
         assert abs(penalty(dist) - (0.5 + 0.25 + 0.25)) < 1e-14
 
     def test_penalty_of_strange_is_its_wigner_negativity(self, strange, gross3):
@@ -212,7 +207,7 @@ class TestWitnessFunctionals:
 
     def test_penalty_of_round_off_scale_entries(self):
         vals = np.array([1.0 + 1e-14, -1e-14, 1e-15j, 0.0])
-        dist = QuasiDistribution(tuple(range(4)), vals, "effect")
+        dist = QuasiDistribution(vals, "effect")
         assert penalty(dist) == 1e-14 + 1e-15
 
 

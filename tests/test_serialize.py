@@ -93,7 +93,6 @@ class TestFrameRoundtrip:
         assert set(data) == {"d", "descriptor", "F", "D"}
         assert len(data["F"]) == 9 and len(data["D"]) == 9
         back = frame_from_dict(json.loads(dumps(data)))
-        assert back.labels == frame.labels
         assert back.descriptor == frame.descriptor
         for a, b in zip(back.analysis, frame.analysis):
             assert np.abs(a.entries - b.entries).max() < 1e-15
@@ -162,6 +161,21 @@ class TestResultRoundtrip:
         if res.kind == "polytope":
             older["certificate"] = {**data["certificate"], "noise": res.p}
         assert result_from_dict(older) == res
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda data: {k: v for k, v in data.items() if k != "tol"}, "report has no key 'tol'"),
+            (lambda data: {k: v for k, v in data.items() if k != "kind"}, "report has no key 'kind'"),
+            (lambda data: list(data.items()), "report must be a JSON object, not list"),
+            (lambda data: {**data, "certificate": [1.0]}, "certificate must be a JSON object, not list"),
+        ],
+        ids=["no-tol", "no-kind", "list-report", "list-certificate"],
+    )
+    def test_malformed_report_names_what_is_missing(self, strange, mangle, message):
+        data = result_to_dict(wigner_threshold(strange))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            result_from_dict(mangle(data))
 
     def test_reruns_compare_equal(self, strange):
         assert self._every_method(strange) == self._every_method(strange)

@@ -40,15 +40,12 @@ from magicnoise import (
     subtheory_floor,
     wigner_threshold,
 )
-from magicnoise import thresholds
+from magicnoise import cli, optimize, thresholds
 from magicnoise.thresholds import _stabilizer_projectors
-
-# one restart: the subtheory search then runs from the Fourier frame only
-FAST = OptimizerConfig(restarts=1)
 
 
 def _crit_subtheory(rho: Operator) -> ThresholdResult:
-    return crit_threshold(rho, config=FAST, scope="subtheory")
+    return crit_threshold(rho, scope="subtheory")
 
 
 class TestThresholdResultType:
@@ -340,7 +337,7 @@ class TestWignerComputedOncePerAnswer:
             return closed_form(*args, **kwargs)
 
         monkeypatch.setattr(thresholds, "_wigner_closed_form", counted)
-        res = crit_threshold(strange, config=FAST, scope=scope)
+        res = crit_threshold(strange, scope=scope)
         assert len(calls) == 1
         assert res.certificate["per_family"]["gross"] == wigner_threshold(strange).p
 
@@ -354,7 +351,7 @@ DELETED_KD_KEYS = {
 
 class TestKDThreshold:
     def test_strange_state_scope_is_near_zero(self, strange):
-        res = kd_threshold(strange, config=FAST, tol=1e-3)
+        res = kd_threshold(strange, tol=1e-3)
         assert res.kind == "kd"
         assert res.p == 0.0
         assert res.certificate["objective"] <= 1e-9
@@ -362,7 +359,7 @@ class TestKDThreshold:
         assert not DELETED_KD_KEYS & set(res.certificate)
 
     def test_certificate_reverifies(self, strange):
-        res = kd_threshold(strange, config=FAST, tol=1e-3)
+        res = kd_threshold(strange, tol=1e-3)
         frame = decode_frame(strange.dim, np.array(res.certificate["frame_params"]))
         opset = standard_operational_set(strange, res.p)
         value = omega(frame, opset, scope="state")
@@ -370,7 +367,7 @@ class TestKDThreshold:
         assert not DELETED_KD_KEYS & set(res.certificate)
 
     def test_mixed_state_certificate_is_canonical_frame(self, d3):
-        res = kd_threshold(maximally_mixed(d3), config=FAST, tol=1e-3)
+        res = kd_threshold(maximally_mixed(d3), tol=1e-3)
         assert res.p <= 1e-3
         frame = decode_frame(d3, np.array(res.certificate["frame_params"]))
         canon = canonical_mub_frame(d3)
@@ -379,16 +376,16 @@ class TestKDThreshold:
 
     def test_defining_basis_state_is_zero_threshold(self, d3):
         rho = magic_state("custom", d3, custom_vec=[0, 0, 1])
-        res = kd_threshold(rho, config=FAST, tol=1e-3)
+        res = kd_threshold(rho, tol=1e-3)
         assert res.p <= 1e-3
 
     def test_subtheory_scope_has_no_threshold(self, strange):
         with pytest.raises(NoThresholdError):
-            kd_threshold(strange, config=FAST, scope="subtheory", tol=0.25)
+            kd_threshold(strange, scope="subtheory", tol=0.25)
 
     def test_no_threshold_message_names_the_floor(self, strange):
         with pytest.raises(NoThresholdError, match=r"subtheory_floor\(3\) = 0\.2887"):
-            kd_threshold(strange, config=FAST, scope="subtheory")
+            kd_threshold(strange, scope="subtheory")
 
     def test_rejects_classification_tol_below_round_off(self, strange, monkeypatch):
         # the certificate's witness is round-off, far below the default 1e-9;
@@ -399,7 +396,7 @@ class TestKDThreshold:
             kd_threshold(strange)
 
     def test_tol_is_recorded(self, strange):
-        assert kd_threshold(strange, config=FAST, tol=1e-2).tol == 1e-2
+        assert kd_threshold(strange, tol=1e-2).tol == 1e-2
 
     def test_rejects_unknown_scope(self, strange):
         with pytest.raises(ValueError):
@@ -532,9 +529,49 @@ class TestSubtheoryFloor:
         assert worst >= subtheory_floor(dim.d)
 
 
+class TestOneSearchPerCaller:
+    """The subtheory scope's frame search is one Nelder-Mead run, whatever
+    config the caller passes."""
+
+    MESSAGE = "best found at p = 1: 16.3923"
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+        real = optimize.nelder_mead
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(optimize, "nelder_mead", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "config", [None, OptimizerConfig(restarts=2), OptimizerConfig(restarts=32)]
+    )
+    def test_kd_threshold(self, strange, runs, config):
+        with pytest.raises(NoThresholdError) as info:
+            kd_threshold(strange, config=config, scope="subtheory")
+        assert len(runs) == 1
+        assert str(info.value).endswith(f"({self.MESSAGE})")
+
+    @pytest.mark.parametrize("config", [None, OptimizerConfig(restarts=32)])
+    def test_crit_threshold(self, strange, runs, config):
+        res = crit_threshold(strange, config=config, scope="subtheory")
+        assert len(runs) == 1
+        assert res.certificate["family"] == "gross"
+
+    def test_cli(self, runs, capsys):
+        code = cli.main(["threshold", "--method", "kd", "--scope", "subtheory"])
+        assert code == 2
+        assert len(runs) == 1
+        assert capsys.readouterr().err.endswith(f"({self.MESSAGE})\n")
+
+
 class TestCritThreshold:
     def test_takes_minimum_family(self, strange):
-        res = crit_threshold(strange, config=FAST, tol=1e-3)
+        res = crit_threshold(strange, tol=1e-3)
         assert res.kind == "crit"
         # the winning state-scope KD value is exact, and no search ran
         assert res.certificate["family"] == "kd"
@@ -545,7 +582,7 @@ class TestCritThreshold:
 
     def test_gross_only_equals_wigner(self, strange):
         # in scope subtheory gross is the only family with a threshold
-        res = crit_threshold(strange, config=FAST, scope="subtheory")
+        res = crit_threshold(strange, scope="subtheory")
         wigner = wigner_threshold(strange)
         assert res.p == wigner.p
         assert res.certificate["family"] == "gross"
