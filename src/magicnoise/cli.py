@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .frames import canonical_mub_frame, gross_wigner_frame, validate_frame
 from .qudit import MAGIC_STATE_KINDS, Dimension, magic_state, maximally_mixed
-from .representations import QuasiDistribution, penalty, represent_state
+from .representations import penalty, represent_state
 from .serialize import as_int, csv_table, dumps, frame_from_dict, result_to_dict, scan_csv
 from .thresholds import (
     NoThresholdError,
@@ -242,15 +242,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
     linear = []
     for name, build in BUILTIN_FRAMES.items():
         frame = build(dim)
-        mu = [represent_state(frame, state).flat() for state in states]
+        mu = [represent_state(frame, state) for state in states]
         linear.append((name, *mu))
     rows = []
     for p in grid:
         for name, mu_rho, mu_mixed in linear:
             values = (1.0 - p) * mu_rho + p * mu_mixed
-            dist = QuasiDistribution(values, "state")
             extremes = float(values.real.min()), float(np.abs(values.imag).max())
-            rows.append((p, name, penalty(dist), *extremes))
+            rows.append((p, name, penalty(values), *extremes))
 
     if cfg["format"] == "json":
         keys = ("p", "frame", "witness", "min_real", "max_abs_imag")
@@ -265,6 +264,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     cfg = _resolve(args, {}, VALIDATE_SETTINGS)
     if (cfg["builtin"] is None) == (cfg["frame"] is None):
         raise ValueError("pass exactly one of --builtin or --frame")
+    if cfg["frame"] is not None and args.d is not None:
+        raise ValueError("--d applies to --builtin only; a frame file carries its own d")
     if cfg["builtin"] is not None:
         frame = BUILTIN_FRAMES[cfg["builtin"]](Dimension(cfg["d"]))
     else:

@@ -296,11 +296,11 @@ def canonical_mub_frame(dim: Dimension) -> ExactFrame:
 
 @dataclass(frozen=True)
 class FrameValidationReport:
-    """Residuals for the five frame axioms; a frame passes when each residual
-    sits below the validation tolerance."""
+    """Residuals for the four frame axioms; a frame passes when each residual
+    sits below the validation tolerance. The fifth, d^2 sample points, is
+    enforced by ExactFrame itself."""
 
     dim: int
-    size_ok: bool
     biorthogonality: float
     normalization: float
     synthesis_trace: float
@@ -309,7 +309,7 @@ class FrameValidationReport:
 
     @property
     def passed(self) -> bool:
-        return self.size_ok and all(
+        return all(
             r <= self.tolerance
             for r in (
                 self.biorthogonality,
@@ -322,7 +322,6 @@ class FrameValidationReport:
     def to_dict(self) -> dict:
         return {
             "d": self.dim,
-            "size_ok": self.size_ok,
             "biorthogonality": self.biorthogonality,
             "normalization": self.normalization,
             "synthesis_trace": self.synthesis_trace,
@@ -333,17 +332,16 @@ class FrameValidationReport:
 
 
 def validate_frame(frame: ExactFrame) -> FrameValidationReport:
-    """Evaluate all five frame axioms and report maximum residuals.
+    """Evaluate the four frame axioms and report maximum residuals.
 
-    Checks: sample-space size d^2, biorthogonality, sum of analysis
-    operators equal to the identity, unit synthesis traces, and operator
-    reconstruction M = sum_lam Tr(F_lam M) D_lam on a full matrix-unit basis.
+    Checks: biorthogonality, sum of analysis operators equal to the
+    identity, unit synthesis traces, and operator reconstruction
+    M = sum_lam Tr(F_lam M) D_lam on a full matrix-unit basis.
     """
     d = frame.dim.d
     n = d * d
     fs = frame.analysis_stack()
     ds = frame.synthesis_stack()
-    size_ok = fs.shape[0] == n and ds.shape[0] == n
 
     # Tr(D_a F_b) over all pairs
     gram = np.einsum("aij,bji->ab", ds, fs)
@@ -359,7 +357,6 @@ def validate_frame(frame: ExactFrame) -> FrameValidationReport:
 
     return FrameValidationReport(
         dim=d,
-        size_ok=bool(size_ok),
         biorthogonality=float(biorth),
         normalization=float(norm_res),
         synthesis_trace=float(trace_res),

@@ -25,39 +25,6 @@ from .qudit import (
     weyl_operator,
 )
 
-_SUBJECTS = ("state", "effect", "channel")
-
-
-@dataclass(frozen=True)
-class QuasiDistribution:
-    """Complex-valued distribution over frame sample points.
-
-    values is 1-D for states and effects, with entry k at the frame's
-    point k (ExactFrame), or at the row-major index of the outcome tuple
-    for the Kirkwood-Dirac forms; it is 2-D for channels, values[out, in].
-    State-subject distributions must sum to one.
-    """
-
-    values: np.ndarray
-    subject: str
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=complex)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        if self.subject not in _SUBJECTS:
-            raise ValueError(f"subject must be one of {_SUBJECTS}")
-        if self.subject == "state":
-            total = arr.sum()
-            if abs(total - 1.0) > DEFAULT_TOLERANCES.validation:
-                raise ValueError(
-                    f"state distribution must sum to 1, got {total:.12g}"
-                )
-
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
-
 @dataclass(frozen=True)
 class Channel:
     """A completely positive trace-preserving map in Kraus form."""
@@ -169,28 +136,29 @@ def standard_operational_set(rho_m: Operator, p: float) -> OperationalSet:
     return OperationalSet(dim, states, channels, effects, noisy)
 
 
-def represent_state(frame: ExactFrame, rho: Operator) -> QuasiDistribution:
-    """mu(lam) = Tr(F_lam rho); sums to Tr(rho) = 1 for any valid frame."""
+def represent_state(frame: ExactFrame, rho: Operator) -> np.ndarray:
+    """mu(lam) = Tr(F_lam rho), a complex array of shape (d^2,) indexed by
+    the frame's points; sums to Tr(rho) = 1 for any valid frame."""
     if rho.dim != frame.dim:
         raise DimensionMismatchError("state and frame dimensions differ")
     fs = frame.analysis_stack()
-    values = np.einsum("lij,ji->l", fs, rho.entries)
-    return QuasiDistribution(values, "state")
+    return np.einsum("lij,ji->l", fs, rho.entries)
 
 
-def represent_effect(frame: ExactFrame, effect: Operator) -> QuasiDistribution:
-    """xi(lam) = Tr(E D_lam); identically 1 for the unit effect."""
+def represent_effect(frame: ExactFrame, effect: Operator) -> np.ndarray:
+    """xi(lam) = Tr(E D_lam), a complex array of shape (d^2,) indexed by the
+    frame's points; identically 1 for the unit effect."""
     if effect.dim != frame.dim:
         raise DimensionMismatchError("effect and frame dimensions differ")
     ds = frame.synthesis_stack()
-    values = np.einsum("lij,ji->l", ds, effect.entries)
-    return QuasiDistribution(values, "effect")
+    return np.einsum("lij,ji->l", ds, effect.entries)
 
 
 def represent_channel(
     frame_in: ExactFrame, frame_out: ExactFrame, channel: Channel
-) -> QuasiDistribution:
-    """Gamma[out, in] = Tr(F_out E(D_in)); every column sums to one.
+) -> np.ndarray:
+    """Gamma[out, in] = Tr(F_out E(D_in)), a complex array of shape
+    (d^2, d^2); every column sums to one.
 
     Composition is functorial: representing E2 after E1 equals the matrix
     product Gamma2 @ Gamma1 when the frames chain.
@@ -200,27 +168,28 @@ def represent_channel(
     ds = frame_in.synthesis_stack()
     fs = frame_out.analysis_stack()
     moved = np.stack([channel.apply(dk) for dk in ds])
-    values = np.einsum("oij,lji->ol", fs, moved)
-    return QuasiDistribution(values, "channel")
+    return np.einsum("oij,lji->ol", fs, moved)
 
 
 def kd_matrix(
     rho: Operator, basis_a: np.ndarray, basis_b: np.ndarray
-) -> QuasiDistribution:
-    """Kirkwood-Dirac distribution rho_(i,j) = <b_j|a_i><a_i|rho|b_j>.
+) -> np.ndarray:
+    """Kirkwood-Dirac distribution rho_(i,j) = <b_j|a_i><a_i|rho|b_j>, a
+    complex array of shape (d^2,) with (i, j) at index i d + j.
 
     Row marginals give Born probabilities in basis A, column marginals in
-    basis B, and the total sum is Tr(rho) = 1.
+    basis B, and the total sum is Tr(rho).
     """
     dim = rho.dim
     a = orthonormal_basis(dim, basis_a, "A")
     b = orthonormal_basis(dim, basis_b, "B")
     values = (a.conj().T @ rho.entries @ b) * (b.conj().T @ a).T
-    return QuasiDistribution(values.reshape(-1), "state")
+    return values.reshape(-1)
 
 
-def kd_sequential(rho: Operator, bases: Sequence[np.ndarray]) -> QuasiDistribution:
-    """Order-k Kirkwood-Dirac distribution from a chain of k bases.
+def kd_sequential(rho: Operator, bases: Sequence[np.ndarray]) -> np.ndarray:
+    """Order-k Kirkwood-Dirac distribution from a chain of k bases, a
+    complex array of shape (d^k,) with (i_1, .., i_k) at its row-major index.
 
     value(i_1, .., i_k) =
         <a^k_(i_k)|a^(k-1)_(i_(k-1))> .. <a^2_(i_2)|a^1_(i_1)> <a^1_(i_1)|rho|a^k_(i_k)>
@@ -243,7 +212,7 @@ def kd_sequential(rho: Operator, bases: Sequence[np.ndarray]) -> QuasiDistributi
         for t in range(k - 1):
             amp = amp * chain[t][idx[t + 1], idx[t]]
         values[idx] = amp
-    return QuasiDistribution(values.reshape(-1), "state")
+    return values.reshape(-1)
 
 
 def _effect_matrix(e) -> np.ndarray:
@@ -252,8 +221,10 @@ def _effect_matrix(e) -> np.ndarray:
     return np.asarray(e, dtype=complex)
 
 
-def kd_povm(rho: Operator, povms: Sequence[Sequence]) -> QuasiDistribution:
-    """Generalized Kirkwood-Dirac distribution over a chain of POVMs.
+def kd_povm(rho: Operator, povms: Sequence[Sequence]) -> np.ndarray:
+    """Generalized Kirkwood-Dirac distribution over a chain of POVMs, a
+    complex array with one entry per outcome tuple (i_1, .., i_k), at its
+    row-major index.
 
     value(i_1, .., i_k) = Tr( M^k_(i_k) .. M^1_(i_1) rho ), evaluated by
     explicit operator products. Each POVM must resolve the identity and
@@ -281,45 +252,28 @@ def kd_povm(rho: Operator, povms: Sequence[Sequence]) -> QuasiDistribution:
         for k, i in enumerate(idx):
             prod = stacks[k][i] @ prod
         values[idx] = np.trace(prod)
-    return QuasiDistribution(values.reshape(-1), "state")
+    return values.reshape(-1)
 
 
 def _penalties(values: np.ndarray, axis) -> np.ndarray:
     return np.abs(values.imag).sum(axis) + np.abs(np.minimum(0.0, values.real)).sum(axis)
 
 
-def penalty(dist: QuasiDistribution) -> float:
-    """Distance from the real non-negative orthant:
+def penalty(values: np.ndarray) -> float:
+    """Distance of an array of any shape from the real non-negative orthant:
     sum |Im| + sum |negative part of Re|; zero iff entrywise real and >= 0."""
-    return float(_penalties(dist.flat(), None))
+    return float(_penalties(np.asarray(values), None))
 
 
 def subtheory_witness(fs: np.ndarray, ds: np.ndarray, opset: OperationalSet) -> float:
     """Largest penalty over every state, effect and channel of opset, each
     represented over the frame with analysis stack fs and synthesis stack ds
     (n, d, d): Tr(F rho), Tr(E D) and Tr(F_out E(D_in)) as three matrix
-    products against opset.stacks."""
+    products against opset.stacks. Returns one float; the state scope's
+    witness is penalty(represent_state(frame, opset.magic_state))."""
     states, effects, supers = opset.stacks
     fv = fs.reshape(fs.shape[0], -1)
     dv = ds.reshape(ds.shape[0], -1)
     singles = np.concatenate([fv @ states, dv @ effects], axis=1)
     gammas = fv @ supers @ dv.T
     return float(max(_penalties(singles, 0).max(), _penalties(gammas, (1, 2)).max()))
-
-
-def omega(frame: ExactFrame, opset: OperationalSet, scope: str = "state") -> float:
-    """Witness value for the operational set opset, built at one noise
-    level: the largest penalty over the probed representations.
-
-    scope "state" penalizes only the noisy magic state's distribution;
-    scope "subtheory" takes the maximum over every state, channel, and
-    effect in the operational set (channels represented in the same frame
-    on both sides). The maximum is order independent.
-    """
-    if scope not in ("state", "subtheory"):
-        raise ValueError("scope must be 'state' or 'subtheory'")
-    if opset.dim != frame.dim:
-        raise DimensionMismatchError("operational set and frame dimensions differ")
-    if scope == "state":
-        return penalty(represent_state(frame, opset.magic_state))
-    return subtheory_witness(frame.analysis_stack(), frame.synthesis_stack(), opset)

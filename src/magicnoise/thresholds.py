@@ -90,7 +90,7 @@ def _gross_frame(d: int) -> ExactFrame:
 def gross_representation_values(rho: Operator) -> np.ndarray:
     """Real Wigner-type distribution values of a state, at the phase-space
     points (p, q) in row-major order."""
-    return represent_state(_gross_frame(rho.dim.d), rho).flat().real.copy()
+    return represent_state(_gross_frame(rho.dim.d), rho).real
 
 
 def _negative_part(values: np.ndarray) -> float:
@@ -355,8 +355,8 @@ def kd_threshold(
 
     params = eigenbasis_frame_params(rho_m)
     frame = decode_frame(dim, params)
-    dist = represent_state(frame, rho_m)
-    objective = penalty(dist)
+    values = represent_state(frame, rho_m)
+    objective = penalty(values)
     report = validate_frame(frame)
     if not report.passed:
         raise RuntimeError(
@@ -373,8 +373,8 @@ def kd_threshold(
         "frame_params": _packed(params),
         "objective": objective,
         "representation": {
-            "re": _packed(dist.flat().real),
-            "im": _packed(dist.flat().imag),
+            "re": _packed(values.real),
+            "im": _packed(values.imag),
         },
         "scope": scope,
         "classification_tol": classification_tol,

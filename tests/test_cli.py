@@ -387,9 +387,8 @@ class TestScanCommand:
             (p, name) for p in grid for name in frames
         ]
         for row in rows:
-            dist = represent_state(frames[row["frame"]], depolarize(rho, row["p"]))
-            flat = dist.flat()
-            want = (penalty(dist), flat.real.min(), np.abs(flat.imag).max())
+            values = represent_state(frames[row["frame"]], depolarize(rho, row["p"]))
+            want = (penalty(values), values.real.min(), np.abs(values.imag).max())
             got = (row["witness"], row["min_real"], row["max_abs_imag"])
             assert np.abs(np.subtract(got, want)).max() <= 1e-14, row
 
@@ -452,9 +451,26 @@ class TestValidateCommand:
         from magicnoise import Dimension, dumps, frame_to_dict, gross_wigner_frame
 
         path = tmp_path / "frame.json"
-        path.write_text(dumps(frame_to_dict(gross_wigner_frame(Dimension(3)))))
+        path.write_text(dumps(frame_to_dict(gross_wigner_frame(Dimension(5)))))
         proc = run_cli("validate", "--frame", str(path))
         assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["config"]["d"] == doc["result"]["report"]["d"] == 5
+
+    @pytest.mark.parametrize("d", ["3", "5"])
+    def test_d_with_frame_file_exits_1(self, tmp_path, d):
+        # the file carries its own d, even when --d agrees with it
+        from magicnoise import Dimension, dumps, frame_to_dict, gross_wigner_frame
+
+        path = tmp_path / "frame.json"
+        path.write_text(dumps(frame_to_dict(gross_wigner_frame(Dimension(3)))))
+        proc = run_cli("validate", "--frame", str(path), "--d", d)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "magicnoise: error: --d applies to --builtin only; a frame file "
+            "carries its own d\n"
+        )
 
     def test_perturbed_frame_fails_with_exit_3(self, tmp_path):
         from magicnoise import Dimension, dumps, frame_to_dict, gross_wigner_frame
@@ -492,6 +508,7 @@ class TestValidateCommand:
             ("operator d=3.2", "frame operator F[0]: d must be an integer, got 3.2"),
             ("no F", "frame has no key 'F'"),
             ("no D[2].re", "frame operator D[2]: operator has no key 're'"),
+            ("no F[8]", "frame must have exactly 9 sample points"),
             ("list", "frame must be a JSON object, not list"),
         ],
     )
@@ -510,6 +527,8 @@ class TestValidateCommand:
             del data["F"]
         elif case == "no D[2].re":
             del data["D"][2]["re"]
+        elif case == "no F[8]":
+            del data["F"][8]
         else:
             data = [data]
         path = tmp_path / "frame.json"

@@ -10,6 +10,7 @@ from magicnoise import (
     SUPPORTED_DIMENSIONS,
     DegenerateFrameError,
     Dimension,
+    ExactFrame,
     Operator,
     WeylIndex,
     canonical_mub_frame,
@@ -162,6 +163,10 @@ class TestStacks:
 
 
 class TestValidationReport:
+    def test_frame_needs_d_squared_points(self, d3, gross3):
+        with pytest.raises(ValueError, match="exactly 9 sample points"):
+            ExactFrame(d3, gross3.analysis[:-1], gross3.synthesis, {"kind": "gross"})
+
     def test_reports_broken_frame(self, d3, mub3):
         # perturb one analysis operator; reconstruction must fail
         analysis = list(mub3.analysis)
@@ -177,17 +182,15 @@ class TestValidationReport:
 
     def test_report_dict_fields(self, gross3):
         data = validate_frame(gross3).to_dict()
-        for key in (
+        assert set(data) == {
             "d",
-            "size_ok",
             "biorthogonality",
             "normalization",
             "synthesis_trace",
             "reconstruction",
             "tolerance",
             "passed",
-        ):
-            assert key in data, key
+        }
 
 
 class TestRepresentationValues:

@@ -99,13 +99,14 @@ class TestSearchStart:
 
 class TestMinimizeOmega:
     def test_certificate_frame_is_valid_and_reproduces_objective(self, d3):
-        from magicnoise import omega, standard_operational_set
+        from magicnoise import standard_operational_set
+        from magicnoise.representations import subtheory_witness
 
         params, objective = minimize_omega(d3)
         frame = decode_frame(d3, params)
         assert validate_frame(frame).passed
         opset = standard_operational_set(maximally_mixed(d3), 1.0)
-        value = omega(frame, opset, scope="subtheory")
+        value = subtheory_witness(frame.analysis_stack(), frame.synthesis_stack(), opset)
         assert abs(value - objective) < 1e-9
 
     def test_pinned_qutrit_objective(self, d3):
@@ -167,8 +168,9 @@ class TestMinimizeOmega:
 class TestObjective:
     @pytest.mark.parametrize("d", [3, 5])
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
-    def test_equals_omega_of_the_decoded_frame(self, d, p):
-        from magicnoise import omega, standard_operational_set
+    def test_equals_witness_of_the_decoded_frame(self, d, p):
+        from magicnoise import standard_operational_set
+        from magicnoise.representations import subtheory_witness
 
         dim = Dimension(d)
         opset = standard_operational_set(random_state(dim, d), p)
@@ -176,7 +178,8 @@ class TestObjective:
         rng = np.random.default_rng(d)
         for _ in range(5):
             x = rng.normal(0.0, 0.5, size=2 * d * d)
-            want = omega(decode_frame(dim, x), opset, scope="subtheory")
+            frame = decode_frame(dim, x)
+            want = subtheory_witness(frame.analysis_stack(), frame.synthesis_stack(), opset)
             assert abs(objective(x) - want) <= 1e-12 * max(1.0, want)
 
     @pytest.mark.parametrize("eps, finite", [(0.0, False), (1e-9, False), (1e-6, True)])

@@ -29,14 +29,14 @@ from magicnoise import (
     magic_state,
     maximally_mixed,
     mub_frame_stabilizer_check,
-    omega,
+    penalty,
     polytope_threshold,
     random_state,
     random_unitary,
     represent_effect,
+    represent_state,
     stabilizer_polytope_membership,
     stabilizer_states,
-    standard_operational_set,
     subtheory_floor,
     wigner_threshold,
 )
@@ -361,8 +361,7 @@ class TestKDThreshold:
     def test_certificate_reverifies(self, strange):
         res = kd_threshold(strange, tol=1e-3)
         frame = decode_frame(strange.dim, np.array(res.certificate["frame_params"]))
-        opset = standard_operational_set(strange, res.p)
-        value = omega(frame, opset, scope="state")
+        value = penalty(represent_state(frame, depolarize(strange, res.p)))
         assert abs(value - res.certificate["objective"]) < 1e-9
         assert not DELETED_KD_KEYS & set(res.certificate)
 
@@ -522,8 +521,7 @@ class TestSubtheoryFloor:
     def test_some_stabilizer_effect_has_imaginary_part_above_the_floor(self, frame):
         dim = frame.dim
         worst = max(
-            np.abs(represent_effect(frame, Operator(dim, proj, role="effect")).flat().imag)
-            .max()
+            np.abs(represent_effect(frame, Operator(dim, proj, role="effect")).imag).max()
             for proj in _stabilizer_projectors(dim.d)
         )
         assert worst >= subtheory_floor(dim.d)
