@@ -5,9 +5,10 @@ Subcommands:
   scan       tabulate witness values over a noise grid for fixed frames
   validate   check frame axioms for a built-in or serialized frame
 
-Exit codes: 0 success, 1 invalid input, 2 no threshold exists in range,
-3 frame validation failure. Output is deterministic: rerunning the same
-command yields byte-identical bytes (no timestamps, sorted JSON keys).
+Exit codes: 0 success, 1 invalid input or an internal certificate failure,
+2 no threshold exists in range, 3 frame validation failure. Output is
+deterministic: rerunning the same command yields byte-identical bytes (no
+timestamps, sorted JSON keys).
 """
 
 from __future__ import annotations
@@ -360,7 +361,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NoThresholdError as exc:
         print(f"magicnoise: no threshold: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RuntimeError) as exc:
         print(f"magicnoise: error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,10 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .qudit import (
-    DEFAULT_TOLERANCES,
+    VALIDATION_TOL,
     Dimension,
     Operator,
-    WeylIndex,
     computational_basis,
     fourier_basis,
     fourier_gate,
@@ -121,7 +120,7 @@ def phase_point_operators(dim: Dimension) -> tuple[Operator, ...]:
     """
     d = dim.d
     points = [(p, q) for p in range(d) for q in range(d)]
-    wops = [weyl_operator(dim, WeylIndex(p, q)).entries for p, q in points]
+    wops = [weyl_operator(dim, p, q).entries for p, q in points]
     phases = [dim.omega ** ((-dim.inv2 * p * q) % d) for p, q in points]
     a0 = sum(ph * w for ph, w in zip(phases, wops)) / d
     return tuple(Operator(dim, w @ a0 @ w.conj().T, role="generic") for w in wops)
@@ -361,5 +360,5 @@ def validate_frame(frame: ExactFrame) -> FrameValidationReport:
         normalization=float(norm_res),
         synthesis_trace=float(trace_res),
         reconstruction=float(recon_res),
-        tolerance=DEFAULT_TOLERANCES.validation,
+        tolerance=VALIDATION_TOL,
     )

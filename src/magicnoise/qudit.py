@@ -21,24 +21,15 @@ class DimensionMismatchError(ValueError):
     """Raised when operands live in different dimensions."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numerical tolerance record.
-
-    construction: residual allowed when checking structural facts at build
-        time (hermiticity, unitarity, trace normalization).
-    validation:   residual allowed when re-checking derived invariants
-        (frame axioms, orthonormal bases, positivity floors).
-    classification: threshold below which a certificate's witness value
-        counts as zero when deciding classicality.
-    """
-
-    construction: float = 1e-12
-    validation: float = 1e-10
-    classification: float = 1e-9
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Residual allowed when checking structural facts at build time
+# (hermiticity, unitarity, trace normalization).
+CONSTRUCTION_TOL = 1e-12
+# Residual allowed when re-checking derived invariants (frame axioms,
+# orthonormal bases, positivity floors).
+VALIDATION_TOL = 1e-10
+# Threshold below which a certificate's witness value counts as zero when
+# deciding classicality.
+CLASSIFICATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,24 +93,23 @@ class Operator:
 
     def _check_role(self):
         a = self.entries
-        ct, vt = DEFAULT_TOLERANCES.construction, DEFAULT_TOLERANCES.validation
         if self.role != "generic" and not np.isfinite(a).all():
             raise ValueError(f"{self.role} operator has non-finite entries")
         if self.role in ("state", "effect"):
-            if np.abs(a - a.conj().T).max() > ct:
+            if np.abs(a - a.conj().T).max() > CONSTRUCTION_TOL:
                 raise ValueError(f"{self.role} operator must be Hermitian")
             eigs = np.linalg.eigvalsh(a)
             if self.role == "state":
-                if abs(np.trace(a) - 1.0) > ct:
+                if abs(np.trace(a) - 1.0) > CONSTRUCTION_TOL:
                     raise ValueError("state must have unit trace")
-                if eigs.min() < -vt:
+                if eigs.min() < -VALIDATION_TOL:
                     raise ValueError(f"state has negative eigenvalue {eigs.min():.3e}")
             else:
-                if eigs.min() < -vt or eigs.max() > 1.0 + vt:
+                if eigs.min() < -VALIDATION_TOL or eigs.max() > 1.0 + VALIDATION_TOL:
                     raise ValueError("effect spectrum must lie in [0, 1]")
         elif self.role == "unitary":
             gram = a.conj().T @ a
-            if np.abs(gram - np.eye(self.dim.d)).max() > ct:
+            if np.abs(gram - np.eye(self.dim.d)).max() > CONSTRUCTION_TOL:
                 raise ValueError("unitary operator fails U^dag U = 1")
 
     @property
@@ -127,30 +117,18 @@ class Operator:
         return self.dim.d
 
 
-@dataclass(frozen=True)
-class WeylIndex:
-    """Phase-space index (p, q) labelling the Weyl operator Z^p X^q."""
-
-    p: int
-    q: int
-
-    def reduced(self, dim: Dimension) -> "WeylIndex":
-        return WeylIndex(self.p % dim.d, self.q % dim.d)
-
-
-def weyl_operator(dim: Dimension, idx: WeylIndex) -> Operator:
+def weyl_operator(dim: Dimension, p: int, q: int) -> Operator:
     """Weyl operator W_(p,q) = Z^p X^q with X|x> = |x+1 mod d>, Z|x> = w^x |x>.
 
     Indices are reduced mod d, so W_(p+d,q) = W_(p,q). Composition obeys
     W_w W_w' = w^(-q p') W_(w+w').
     """
     d = dim.d
-    r = idx.reduced(dim)
     w = dim.omega
     out = np.zeros((d, d), dtype=complex)
     for x in range(d):
-        y = (x + r.q) % d
-        out[y, x] = w ** ((r.p * y) % d)
+        y = (x + q) % d
+        out[y, x] = w ** ((p * y) % d)
     return Operator(dim, out, role="unitary")
 
 
@@ -179,8 +157,8 @@ def clifford_generators(dim: Dimension) -> tuple[Operator, ...]:
     return (
         fourier_gate(dim),
         quadratic_phase_gate(dim),
-        weyl_operator(dim, WeylIndex(0, 1)),
-        weyl_operator(dim, WeylIndex(1, 0)),
+        weyl_operator(dim, 0, 1),
+        weyl_operator(dim, 1, 0),
     )
 
 
@@ -196,12 +174,12 @@ def fourier_basis(dim: Dimension) -> np.ndarray:
 
 def orthonormal_basis(dim: Dimension, mat, name: str) -> np.ndarray:
     """mat as a complex d x d matrix whose columns are orthonormal, within
-    DEFAULT_TOLERANCES.validation; a ValueError names the basis if not."""
+    VALIDATION_TOL; a ValueError names the basis if not."""
     arr = np.asarray(mat, dtype=complex)
     if arr.shape != (dim.d, dim.d):
         raise ValueError(f"basis {name} must be a {dim.d}x{dim.d} column matrix")
     residual = np.abs(arr.conj().T @ arr - np.eye(dim.d)).max()
-    if not residual <= DEFAULT_TOLERANCES.validation:  # a NaN entry fails too
+    if not residual <= VALIDATION_TOL:  # a NaN entry fails too
         raise ValueError(f"basis {name} is not orthonormal")
     return arr
 
@@ -218,52 +196,35 @@ def _mub_basis(dim: Dimension, a: int) -> np.ndarray:
     return dim.omega ** expo / np.sqrt(d)
 
 
-@dataclass(frozen=True)
-class StabilizerStateSet:
-    """The d(d+1) single-qudit stabilizer states, grouped into d+1 MUBs.
-
-    basis_vectors holds d+1 unitary matrices whose columns are the state
-    vectors; groups holds the corresponding rank-1 projectors as Operators.
-    Their counts, unbiasedness and Weyl eigenvectors are facts of the
-    construction in stabilizer_states, checked by the tests, not here.
-    """
-
-    dim: Dimension
-    basis_vectors: tuple[np.ndarray, ...]
-    groups: tuple[tuple[Operator, ...], ...]
-
-    def __post_init__(self):
-        frozen = tuple(np.array(basis, dtype=complex) for basis in self.basis_vectors)
-        for arr in frozen:
-            arr.setflags(write=False)
-        object.__setattr__(self, "basis_vectors", frozen)
-
-    @property
-    def states(self) -> tuple[Operator, ...]:
-        """All d(d+1) projectors, flattened basis by basis."""
-        return tuple(op for group in self.groups for op in group)
+@lru_cache(maxsize=None)
+def stabilizer_bases(dim: Dimension) -> tuple[np.ndarray, ...]:
+    """The d+1 mutually unbiased bases of one qudit of odd prime dimension,
+    as read-only matrices whose columns are the stabilizer state vectors,
+    built once per d and shared: the computational basis followed by the
+    eigenbases of X Z^a for a = 0 .. d-1 (the a = 0 case is the Fourier
+    basis). Their unbiasedness is a fact of the construction, checked by
+    the tests, not here."""
+    bases = (computational_basis(dim),) + tuple(_mub_basis(dim, a) for a in range(dim.d))
+    for basis in bases:
+        basis.setflags(write=False)
+    return bases
 
 
-def stabilizer_states(dim: Dimension) -> StabilizerStateSet:
-    """The stabilizer states of one qudit of odd prime dimension, built
-    once per d and shared (the set is immutable).
-
-    Bases: the computational basis followed by the eigenbases of X Z^a for
-    a = 0 .. d-1 (the a = 0 case is the Fourier basis).
-    """
+def stabilizer_states(dim: Dimension) -> tuple[Operator, ...]:
+    """The d(d+1) stabilizer state projectors, basis by basis: state k is
+    column k % d of basis k // d of stabilizer_bases. Built once per d and
+    shared."""
     return _stabilizer_states(dim.d)
 
 
 @lru_cache(maxsize=None)
-def _stabilizer_states(d: int) -> StabilizerStateSet:
+def _stabilizer_states(d: int) -> tuple[Operator, ...]:
     dim = Dimension(d)
-    bases = [computational_basis(dim)]
-    bases.extend(_mub_basis(dim, a) for a in range(d))
-    groups = tuple(
-        tuple(Operator(dim, np.outer(v, v.conj()), role="state") for v in basis.T)
-        for basis in bases
+    return tuple(
+        Operator(dim, np.outer(v, v.conj()), role="state")
+        for basis in stabilizer_bases(dim)
+        for v in basis.T
     )
-    return StabilizerStateSet(dim, tuple(bases), groups)
 
 
 MAGIC_STATE_KINDS = ("strange", "norrell", "custom")

@@ -13,11 +13,10 @@ import numpy as np
 
 from .frames import ExactFrame
 from .qudit import (
-    DEFAULT_TOLERANCES,
+    VALIDATION_TOL,
     Dimension,
     DimensionMismatchError,
     Operator,
-    WeylIndex,
     clifford_generators,
     depolarize,
     orthonormal_basis,
@@ -44,7 +43,7 @@ class Channel:
             frozen.append(arr)
         object.__setattr__(self, "kraus", tuple(frozen))
         total = sum(k.conj().T @ k for k in self.kraus)
-        if np.abs(total - np.eye(d)).max() > DEFAULT_TOLERANCES.validation:
+        if np.abs(total - np.eye(d)).max() > VALIDATION_TOL:
             raise ValueError(f"channel {self.name!r} is not trace preserving")
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
@@ -74,7 +73,7 @@ def depolarizing_channel(dim: Dimension, p: float) -> Channel:
     if p > 0.0:
         for a in range(d):
             for b in range(d):
-                w = weyl_operator(dim, WeylIndex(a, b)).entries
+                w = weyl_operator(dim, a, b).entries
                 ops.append(np.sqrt(p) / d * w)
     return Channel(dim, tuple(ops), name=f"depolarizing({p:g})")
 
@@ -122,8 +121,8 @@ def standard_operational_set(rho_m: Operator, p: float) -> OperationalSet:
     dim = rho_m.dim
     noisy = depolarize(rho_m, p)
     stab = stabilizer_states(dim)
-    states = stab.states + (noisy,)
-    effects = stab.states + (Operator(dim, np.eye(dim.d), role="effect"),)
+    states = stab + (noisy,)
+    effects = stab + (Operator(dim, np.eye(dim.d), role="effect"),)
     cliffords = clifford_generators(dim)
     channels = (
         identity_channel(dim),
@@ -231,7 +230,6 @@ def kd_povm(rho: Operator, povms: Sequence[Sequence]) -> np.ndarray:
     have positive semidefinite elements.
     """
     d = rho.dim.d
-    vt = DEFAULT_TOLERANCES.validation
     stacks = []
     for k, povm in enumerate(povms):
         mats = [_effect_matrix(e) for e in povm]
@@ -240,9 +238,9 @@ def kd_povm(rho: Operator, povms: Sequence[Sequence]) -> np.ndarray:
         for m in mats:
             if m.shape != (d, d):
                 raise ValueError(f"POVM #{k} elements must be {d}x{d}")
-            if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -vt:
+            if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -VALIDATION_TOL:
                 raise ValueError(f"POVM #{k} has a negative element")
-        if np.abs(sum(mats) - np.eye(d)).max() > vt:
+        if np.abs(sum(mats) - np.eye(d)).max() > VALIDATION_TOL:
             raise ValueError(f"POVM #{k} does not resolve the identity")
         stacks.append(mats)
     counts = [len(s) for s in stacks]

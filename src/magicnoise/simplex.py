@@ -38,8 +38,8 @@ MAX_PIVOTS = 10000
 
 
 class SimplexError(RuntimeError):
-    """Raised on an infeasible or unbounded LP, or when pivoting does not
-    finish within its budget."""
+    """Raised on an infeasible or unbounded LP, when pivoting does not
+    finish within its budget, or when a basis goes singular."""
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,17 @@ def solve_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:
     """Optimal vertex and duals of min c.x subject to A x = b, x >= 0.
 
     Raises SimplexError when the system is infeasible (phase-one optimum
-    above FEASIBILITY_TOL), the objective is unbounded below, or the two
-    phases together need more than MAX_PIVOTS pivots.
+    above FEASIBILITY_TOL), the objective is unbounded below, the two
+    phases together need more than MAX_PIVOTS pivots, or a basis goes
+    singular.
     """
+    try:
+        return _two_phase(c, a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SimplexError(f"the simplex basis went singular: {exc}") from exc
+
+
+def _two_phase(c, a, b) -> LPResult:
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -32,10 +32,12 @@ from .frames import (
 )
 from .optimize import OptimizerConfig, minimize_omega
 from .qudit import (
-    DEFAULT_TOLERANCES,
+    CLASSIFICATION_TOL,
+    CONSTRUCTION_TOL,
     Dimension,
     Operator,
     depolarize,  # noqa: F401  (callers reach it as thresholds.depolarize)
+    stabilizer_bases,
     stabilizer_states,
 )
 from .representations import kd_matrix, penalty, represent_state
@@ -105,7 +107,7 @@ def _wigner_closed_form(rho_m: Operator) -> tuple[float, np.ndarray]:
     d2 = rho_m.dim.d ** 2
     w = gross_representation_values(rho_m)
     w_min = float(w.min())
-    if w_min >= -DEFAULT_TOLERANCES.construction:
+    if w_min >= -CONSTRUCTION_TOL:
         # round-off-scale negativity counts as non-negative
         p_star = 0.0
     else:
@@ -135,7 +137,7 @@ def wigner_threshold(rho_m: Operator, tol: float = 1e-6) -> ThresholdResult:
         "representation_re": _packed(rep_at_threshold),
         "negative_points": [
             list(divmod(int(k), dim.d))
-            for k in np.flatnonzero(w < -DEFAULT_TOLERANCES.construction)
+            for k in np.flatnonzero(w < -CONSTRUCTION_TOL)
         ],
     }
     return ThresholdResult("wigner", p_star, certificate, tol)
@@ -179,7 +181,7 @@ class PolytopeCertificate:
 @lru_cache(maxsize=None)
 def _stabilizer_projectors(d: int) -> np.ndarray:
     """The d(d+1) stabilizer projectors as one read-only stack, per d."""
-    projs = np.stack([op.entries for op in stabilizer_states(Dimension(d)).states])
+    projs = np.stack([op.entries for op in stabilizer_states(Dimension(d))])
     projs.setflags(write=False)
     return projs
 
@@ -323,7 +325,7 @@ def kd_threshold(
     B = A F (F the Fourier gate), Q_ij = lambda_i |<a_i|b_j>|^2 =
     lambda_i / d >= 0, so the threshold is exactly 0, certified by that
     frame (validated, and its witness rechecked against
-    DEFAULT_TOLERANCES.classification, which round-off never reaches).
+    CLASSIFICATION_TOL, which round-off never reaches).
     The certificate stores the frame's parameters so the claim can be
     re-verified by decoding and re-evaluating, and records the Wigner
     threshold p_wigner alongside.
@@ -362,11 +364,10 @@ def kd_threshold(
         raise RuntimeError(
             f"eigenbasis frame fails validation: residuals {report.to_dict()}"
         )
-    classification_tol = DEFAULT_TOLERANCES.classification
-    if objective > classification_tol:
+    if objective > CLASSIFICATION_TOL:
         raise RuntimeError(
             f"eigenbasis certificate has witness {objective:.3e}, above "
-            f"classification_tol {classification_tol!r}"
+            f"classification_tol {CLASSIFICATION_TOL!r}"
         )
     certificate = {
         "frame": {"kind": "parametrized"},
@@ -377,7 +378,7 @@ def kd_threshold(
             "im": _packed(values.imag),
         },
         "scope": scope,
-        "classification_tol": classification_tol,
+        "classification_tol": CLASSIFICATION_TOL,
         "p_wigner": _wigner_closed_form(rho_m)[0],
     }
     return ThresholdResult("kd", 0.0, certificate, tol)
@@ -422,21 +423,20 @@ def mub_frame_stabilizer_check(dim: Dimension) -> dict:
 
     States drawn from the two defining bases are provably classical; the
     remaining d(d-1) states are checked numerically, a penalty above
-    DEFAULT_TOLERANCES.construction counting as non-classical, and the
-    overall claim is reported as CONFIRMED or REFUTED.
+    CONSTRUCTION_TOL counting as non-classical, and the overall claim is
+    reported as CONFIRMED or REFUTED.
     """
-    classification_tol = DEFAULT_TOLERANCES.construction
-    stab = stabilizer_states(dim)
-    comp, four = stab.basis_vectors[0], stab.basis_vectors[1]
+    classification_tol = CONSTRUCTION_TOL
+    d = dim.d
+    comp, four = stabilizer_bases(dim)[:2]
     per_state = [
         {
-            "basis": k,
-            "index": b,
+            "basis": k // d,
+            "index": k % d,
             "penalty": penalty(kd_matrix(op, comp, four)),
-            "defining_basis": k in (0, 1),
+            "defining_basis": k < 2 * d,
         }
-        for k, group in enumerate(stab.groups)
-        for b, op in enumerate(group)
+        for k, op in enumerate(stabilizer_states(dim))
     ]
 
     def max_penalty(defining: bool) -> float:

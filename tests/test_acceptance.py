@@ -119,9 +119,9 @@ def test_03_gross_frame_is_nonnegative_exactly_on_stabilizer_objects():
         dim = Dimension(3)
         frame = gross_wigner_frame(dim)
         stab = stabilizer_states(dim)
-        for state in stab.states:
+        for state in stab:
             assert penalty(represent_state(frame, state)) < 1e-12
-        for proj in stab.states:  # MUB projectors double as effects
+        for proj in stab:  # MUB projectors double as effects
             assert penalty(represent_effect(frame, proj)) < 1e-12
         for gate in clifford_generators(dim):
             dist = represent_channel(frame, frame, unitary_channel(gate))
@@ -201,11 +201,11 @@ def test_06_polytope_certificates_reconstruct_their_states():
     with verdict("06 polytope-certificates"):
         dim = Dimension(3)
         stab = stabilizer_states(dim)
-        projectors = np.stack([s.entries for s in stab.states])
+        projectors = np.stack([s.entries for s in stab])
 
         candidates = [depolarize(magic_state("strange", dim), 0.8)]
         candidates += [depolarize(magic_state("norrell", dim), 0.65)]
-        candidates += list(stab.states)
+        candidates += list(stab)
         candidates += [random_state(dim, seed=800 + k) for k in range(5)]
         checked = 0
         for rho in candidates:

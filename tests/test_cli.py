@@ -12,6 +12,7 @@ import magicnoise
 from magicnoise import cli
 from magicnoise import (
     Dimension,
+    SimplexError,
     canonical_mub_frame,
     depolarize,
     gross_wigner_frame,
@@ -206,6 +207,16 @@ class TestThresholdCommand:
         with_j = run_cli("threshold", "--state", "custom", "--vec", "1+2j,0,0")
         assert with_i.returncode == 0, with_i.stderr
         assert json.loads(with_i.stdout)["result"] == json.loads(with_j.stdout)["result"]
+
+    def test_internal_certificate_failure_exits_1_on_one_line(self, monkeypatch):
+        def failing(rho):
+            raise SimplexError("polytope LP certificate fails its check")
+
+        monkeypatch.setattr(cli, "polytope_threshold", failing)
+        proc = run_cli("threshold", "--method", "polytope")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "magicnoise: error: polytope LP certificate fails its check\n"
 
     def test_vec_without_value_is_invalid(self):
         proc = run_cli("threshold", "--state", "custom", "--vec", "--format", "csv")

@@ -12,7 +12,6 @@ from magicnoise import (
     Dimension,
     ExactFrame,
     Operator,
-    WeylIndex,
     canonical_mub_frame,
     computational_basis,
     decode_frame,
@@ -58,7 +57,7 @@ class TestPhasePointOperators:
             a = op.entries
             assert np.abs(a - a.conj().T).max() < 1e-12
             assert abs(np.trace(a) - 1.0) < 1e-12
-            w = weyl_operator(dim, WeylIndex(k // d, k % d)).entries
+            w = weyl_operator(dim, k // d, k % d).entries
             assert np.abs(a - w @ a0 @ w.conj().T).max() < 1e-12
 
     @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)

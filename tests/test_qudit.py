@@ -10,7 +10,6 @@ from magicnoise import (
     Operator,
     SUPPORTED_DIMENSIONS,
     UnsupportedDimensionError,
-    WeylIndex,
     clifford_generators,
     computational_basis,
     depolarize,
@@ -21,6 +20,7 @@ from magicnoise import (
     quadratic_phase_gate,
     random_state,
     random_unitary,
+    stabilizer_bases,
     stabilizer_states,
     weyl_operator,
 )
@@ -30,9 +30,10 @@ dims = st.sampled_from(SUPPORTED_DIMENSIONS)
 
 @st.composite
 def dim_and_indices(draw, count=1):
+    """A dimension and count Weyl indices (p, q) in Z_d^2."""
     d = draw(dims)
     idx = [
-        WeylIndex(draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)))
+        (draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)))
         for _ in range(count)
     ]
     return (Dimension(d), *idx)
@@ -113,24 +114,24 @@ class TestOperatorRoles:
 class TestWeylAlgebra:
     @given(dim_and_indices(count=2))
     def test_composition_law(self, data):
-        dim, w1, w2 = data
-        lhs = weyl_operator(dim, w1).entries @ weyl_operator(dim, w2).entries
-        phase = dim.omega ** ((-w1.q * w2.p) % dim.d)
-        rhs = phase * weyl_operator(dim, WeylIndex(w1.p + w2.p, w1.q + w2.q)).entries
+        dim, (p1, q1), (p2, q2) = data
+        lhs = weyl_operator(dim, p1, q1).entries @ weyl_operator(dim, p2, q2).entries
+        phase = dim.omega ** ((-q1 * p2) % dim.d)
+        rhs = phase * weyl_operator(dim, p1 + p2, q1 + q2).entries
         assert np.abs(lhs - rhs).max() < 1e-12
 
     @given(dim_and_indices())
     def test_dagger_relation(self, data):
-        dim, w = data
-        dag = weyl_operator(dim, w).entries.conj().T
-        phase = dim.omega ** ((-w.p * w.q) % dim.d)
-        expect = phase * weyl_operator(dim, WeylIndex(-w.p, -w.q)).entries
+        dim, (p, q) = data
+        dag = weyl_operator(dim, p, q).entries.conj().T
+        phase = dim.omega ** ((-p * q) % dim.d)
+        expect = phase * weyl_operator(dim, -p, -q).entries
         assert np.abs(dag - expect).max() < 1e-12
 
     @given(dim_and_indices())
     def test_order_divides_d(self, data):
-        dim, w = data
-        mat = weyl_operator(dim, w).entries
+        dim, (p, q) = data
+        mat = weyl_operator(dim, p, q).entries
         power = np.linalg.matrix_power(mat, dim.d)
         assert np.abs(power - np.eye(dim.d)).max() < 1e-10
 
@@ -138,19 +139,25 @@ class TestWeylAlgebra:
     def test_identity_index(self, d):
         dim = Dimension(d)
         assert np.abs(
-            weyl_operator(dim, WeylIndex(0, 0)).entries - np.eye(d)
+            weyl_operator(dim, 0, 0).entries - np.eye(d)
         ).max() == 0
 
-    def test_index_reduction(self, d3):
-        assert WeylIndex(4, -1).reduced(d3) == WeylIndex(1, 2)
-        a = weyl_operator(d3, WeylIndex(4, -1)).entries
-        b = weyl_operator(d3, WeylIndex(1, 2)).entries
-        assert np.abs(a - b).max() == 0
+    @given(dim_and_indices())
+    def test_index_reduction(self, data):
+        """W_(p+d,q), W_(p,q+d), W_(-p,q) and W_(p-2d,-q) equal their reduced
+        forms exactly."""
+        dim, (p, q) = data
+        d = dim.d
+        for a, b in ((p + d, q), (p, q + d), (-p, q), (p - 2 * d, -q)):
+            assert np.array_equal(
+                weyl_operator(dim, a, b).entries,
+                weyl_operator(dim, a % d, b % d).entries,
+            )
 
     def test_traceless_except_identity(self, d3):
         for p in range(3):
             for q in range(3):
-                tr = np.trace(weyl_operator(d3, WeylIndex(p, q)).entries)
+                tr = np.trace(weyl_operator(d3, p, q).entries)
                 if p == q == 0:
                     assert abs(tr - 3) < 1e-12
                 else:
@@ -161,10 +168,10 @@ def _match_weyl_up_to_phase(dim, mat):
     """Return (index, phase) with mat = phase * W_index, or None."""
     for p in range(dim.d):
         for q in range(dim.d):
-            w = weyl_operator(dim, WeylIndex(p, q)).entries
+            w = weyl_operator(dim, p, q).entries
             prod = mat @ w.conj().T
             if np.abs(prod - prod[0, 0] * np.eye(dim.d)).max() < 1e-10:
-                return WeylIndex(p, q), prod[0, 0]
+                return (p, q), prod[0, 0]
     return None
 
 
@@ -176,7 +183,7 @@ class TestCliffordGenerators:
             g = gate.entries
             for p in range(d):
                 for q in range(d):
-                    conj = g @ weyl_operator(dim, WeylIndex(p, q)).entries @ g.conj().T
+                    conj = g @ weyl_operator(dim, p, q).entries @ g.conj().T
                     found = _match_weyl_up_to_phase(dim, conj)
                     assert found is not None, (p, q)
                     _, phase = found
@@ -186,8 +193,8 @@ class TestCliffordGenerators:
     def test_fourier_exchanges_shift_and_clock(self, d):
         dim = Dimension(d)
         f = fourier_gate(dim).entries
-        x = weyl_operator(dim, WeylIndex(0, 1)).entries
-        z = weyl_operator(dim, WeylIndex(1, 0)).entries
+        x = weyl_operator(dim, 0, 1).entries
+        z = weyl_operator(dim, 1, 0).entries
         assert np.abs(f @ x @ f.conj().T - z).max() < 1e-12
 
     @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
@@ -201,34 +208,43 @@ class TestCliffordGenerators:
 class TestStabilizerStates:
     @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
     def test_count_and_shape(self, d):
-        stab = stabilizer_states(Dimension(d))
-        assert len(stab.basis_vectors) == d + 1
-        assert len(stab.states) == d * (d + 1)
-        for op in stab.states:
+        dim = Dimension(d)
+        bases = stabilizer_bases(dim)
+        states = stabilizer_states(dim)
+        assert len(bases) == d + 1
+        assert len(states) == d * (d + 1)
+        # built once per d: the same read-only objects on every call
+        assert stabilizer_bases(Dimension(d)) is bases
+        assert stabilizer_states(Dimension(d)) is states
+        for basis in bases:
+            assert basis.shape == (d, d) and not basis.flags.writeable
+        for k, op in enumerate(states):
             assert op.role == "state"
+            # state k is the projector onto column k % d of basis k // d
+            v = bases[k // d][:, k % d]
+            assert np.abs(op.entries - np.outer(v, v.conj())).max() == 0
             # rank-1 projector
             e = np.linalg.eigvalsh(op.entries)
             assert abs(e[-1] - 1.0) < 1e-10 and np.abs(e[:-1]).max() < 1e-10
 
     @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
     def test_bases_are_mutually_unbiased(self, d):
-        stab = stabilizer_states(Dimension(d))
-        n = len(stab.basis_vectors)
+        bases = stabilizer_bases(Dimension(d))
+        n = len(bases)
         for i in range(n):
-            bi = stab.basis_vectors[i]
+            bi = bases[i]
             assert np.abs(bi.conj().T @ bi - np.eye(d)).max() < 1e-12
             for j in range(i + 1, n):
-                ov = np.abs(stab.basis_vectors[j].conj().T @ bi) ** 2
+                ov = np.abs(bases[j].conj().T @ bi) ** 2
                 assert np.abs(ov - 1.0 / d).max() < 1e-12
 
     @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
     def test_each_basis_diagonalizes_its_weyl_operator(self, d):
         dim = Dimension(d)
-        stab = stabilizer_states(dim)
         # basis 0 is Z's eigenbasis; basis a + 1 is that of Z^a X = W_(a,1)
-        for k, basis in enumerate(stab.basis_vectors):
-            idx = WeylIndex(1, 0) if k == 0 else WeylIndex(k - 1, 1)
-            w = weyl_operator(dim, idx).entries
+        for k, basis in enumerate(stabilizer_bases(dim)):
+            idx = (1, 0) if k == 0 else (k - 1, 1)
+            w = weyl_operator(dim, *idx).entries
             moved = w @ basis
             # each column must be an eigenvector: w b = lambda b, |lambda| = 1
             lam = np.einsum("ij,ij->j", basis.conj(), moved)
@@ -236,9 +252,9 @@ class TestStabilizerStates:
             assert np.abs(moved - basis * lam).max() < 1e-10
 
     def test_first_two_bases_are_computational_and_fourier(self, d3):
-        stab = stabilizer_states(d3)
-        assert np.abs(stab.basis_vectors[0] - computational_basis(d3)).max() < 1e-12
-        assert np.abs(stab.basis_vectors[1] - fourier_basis(d3)).max() < 1e-12
+        comp, four = stabilizer_bases(d3)[:2]
+        assert np.abs(comp - computational_basis(d3)).max() < 1e-12
+        assert np.abs(four - fourier_basis(d3)).max() < 1e-12
 
 
 class TestMagicStates:

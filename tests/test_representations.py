@@ -165,16 +165,20 @@ class TestKDForms:
         assert np.abs(vals.imag).max() < 1e-14
         assert np.abs(vals.real - np.diag(strange.entries).real).max() < 1e-12
 
-    def test_sequential_three_bases_marginalizes_to_two(self, strange, d3):
-        a = computational_basis(d3)
-        b = fourier_basis(d3)
-        three = kd_sequential(strange, [a, b, a]).reshape(3, 3, 3)
-        two = kd_sequential(strange, [a, b]).reshape(3, 3)
-        # summing out the middle index of (a, b, a) with closing trace
-        # does not reproduce the pair distribution; instead check the
-        # defining total-sum property and the k=2 consistency of labels
-        assert abs(three.sum() - 1.0) < 1e-10
-        assert abs(two.sum() - 1.0) < 1e-10
+    @pytest.mark.parametrize("d", [3, 5])
+    @given(seeds)
+    def test_sequential_three_bases_summed_over_one_is_kd_matrix(self, d, seed):
+        """K(rho; A, B, C) summed over its last outcome is kd_matrix(rho, A, B)
+        and over its middle outcome kd_matrix(rho, A, C), since each summed
+        basis resolves the identity: on (a, b, a) and on random bases."""
+        dim = Dimension(d)
+        rho = random_state(dim, seed)
+        a, b = computational_basis(dim), fourier_basis(dim)
+        randoms = [random_unitary(dim, 3 * seed + k).entries for k in range(3)]
+        for x, y, z in ((a, b, a), randoms):
+            three = kd_sequential(rho, [x, y, z]).reshape(d, d, d)
+            assert np.abs(three.sum(axis=2).reshape(-1) - kd_matrix(rho, x, y)).max() < 1e-12
+            assert np.abs(three.sum(axis=1).reshape(-1) - kd_matrix(rho, x, z)).max() < 1e-12
 
     def test_povm_rejects_non_resolving_set(self, strange, d3):
         a = computational_basis(d3)
@@ -211,11 +215,11 @@ class TestWitnessFunctionals:
 
 class TestSubtheoryInGrossFrame:
     def test_stabilizer_states_are_classical(self, d3, gross3):
-        for op in stabilizer_states(d3).states:
+        for op in stabilizer_states(d3):
             assert penalty(represent_state(gross3, op)) < 1e-12
 
     def test_effects_are_classical(self, d3, gross3):
-        for op in stabilizer_states(d3).states:
+        for op in stabilizer_states(d3):
             eff = Operator(d3, op.entries, role="effect")
             assert penalty(represent_effect(gross3, eff)) < 1e-12
 

@@ -16,8 +16,8 @@ from magicnoise import (
     NoThresholdError,
     Operator,
     OptimizerConfig,
+    SimplexError,
     ThresholdResult,
-    Tolerances,
     canonical_mub_frame,
     crit_threshold,
     decode_frame,
@@ -134,7 +134,7 @@ class TestPolytopeMembership:
         assert abs(cert.coefficients.sum() - 1.0) < 1e-8
         # reconstruction is what's guaranteed; coefficients may be any
         # convex decomposition degenerate with the uniform one
-        projs = np.stack([op.entries for op in stabilizer_states(d3).states])
+        projs = np.stack([op.entries for op in stabilizer_states(d3)])
         recon = np.tensordot(cert.coefficients, projs, axes=1)
         assert np.abs(recon - np.eye(3) / 3).max() < 1e-8
 
@@ -150,7 +150,7 @@ class TestPolytopeMembership:
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
     def test_stabilizer_mixtures_have_threshold_exactly_zero(self, seed, k):
-        projs = [op.entries for op in stabilizer_states(Dimension(3)).states]
+        projs = [op.entries for op in stabilizer_states(Dimension(3))]
         rng = np.random.default_rng(seed)
         picks = rng.choice(len(projs), size=k, replace=False)
         weights = rng.dirichlet(np.ones(k))
@@ -163,7 +163,7 @@ class TestPolytopeMembership:
         assert stabilizer_polytope_membership(rho) is not None
 
     def test_every_stabilizer_state_is_inside(self, d3):
-        for op in stabilizer_states(d3).states:
+        for op in stabilizer_states(d3):
             cert = stabilizer_polytope_membership(op)
             assert cert is not None
             assert cert.residual < 1e-8
@@ -197,7 +197,7 @@ class TestPolytopeThreshold:
     def test_certificate_reverifies(self, strange, d3):
         res = polytope_threshold(strange, tol=1e-6)
         c = np.array(res.certificate["coefficients"])
-        projs = np.stack([op.entries for op in stabilizer_states(d3).states])
+        projs = np.stack([op.entries for op in stabilizer_states(d3)])
         recon = np.tensordot(c, projs, axes=1)
         target = depolarize(strange, res.p).entries
         assert np.abs(recon - target).max() < 1e-8
@@ -228,7 +228,7 @@ def _highs_polytope_threshold(rho: np.ndarray) -> float:
     """min p over x >= 0, 0 <= p <= 1 with sum_k x_k S_k = (1-p) rho + p/d,
     sum_k x_k = 1, on the real and imaginary parts of every entry."""
     d = rho.shape[0]
-    projs = np.stack([op.entries for op in stabilizer_states(Dimension(d)).states])
+    projs = np.stack([op.entries for op in stabilizer_states(Dimension(d))])
     n = len(projs)
     shift = np.eye(d) / d - rho
     a_eq = np.zeros((2 * d * d + 1, n + 1))
@@ -279,9 +279,10 @@ class TestPolytopeLPProperties:
         rho = data.draw(noisy_states(d))
         res = polytope_threshold(rho)
         assert abs(res.p - _highs_polytope_threshold(rho.entries)) <= 1e-9
+        assert abs(res.p - _closed_form_polytope_threshold(rho.entries)) <= 1e-9
         assert wigner_threshold(rho).p <= res.p + 1e-12
 
-        projs = np.stack([op.entries for op in stabilizer_states(rho.dim).states])
+        projs = np.stack([op.entries for op in stabilizer_states(rho.dim)])
         x = np.array(res.certificate["coefficients"])
         assert x.min() >= 0.0
         target = depolarize(rho, res.p).entries
@@ -303,6 +304,42 @@ class TestPolytopeLPProperties:
         rho = _noisy_state(7, 730295, 0.1)
         res = polytope_threshold(rho)
         assert abs(res.p - _highs_polytope_threshold(rho.entries)) <= 1e-9
+
+
+def _closed_form_polytope_threshold(rho: np.ndarray) -> float:
+    """p* = d|a| / (1 + d|a|), or 0 when a >= 0, with
+    a = sum_b min_j <b_j|rho|b_j> - 1 over the d+1 mutually unbiased bases,
+    built here from their textbook form: the computational basis, then
+    |t,b> = sum_x w^(t x^2 / 2 + b x) |x> / sqrt(d) for t = 0 .. d-1."""
+    d = rho.shape[0]
+    x = np.arange(d).reshape(-1, 1)
+    b = np.arange(d).reshape(1, -1)
+    omega = np.exp(2j * np.pi / d)
+    bases = [np.eye(d)] + [
+        omega ** ((pow(2, -1, d) * t * x * x + b * x) % d) / np.sqrt(d) for t in range(d)
+    ]
+    v = [np.einsum("ij,ik,kj->j", basis.conj(), rho, basis).real for basis in bases]
+    a = sum(row.min() for row in v) - 1.0
+    return d * abs(a) / (1.0 + d * abs(a)) if a < 0 else 0.0
+
+
+# |k> + eps |k+1>: the LP fails its certificate check at d = 3, runs out of
+# pivots at d = 5 and meets a singular basis at d = 7
+@pytest.mark.xfail(
+    strict=True,
+    raises=SimplexError,
+    reason="the simplex LP fails within 1e-5 of a stabilizer state",
+)
+@pytest.mark.parametrize(
+    "vec",
+    [(1, 1e-6, 0), (1, 1e-7, 0, 0, 0), (0, 0, 0, 1, 1e-7, 0, 0)],
+    ids=["d3", "d5", "d7"],
+)
+def test_near_stabilizer_pure_state_has_the_closed_form_threshold(vec):
+    rho = magic_state("custom", Dimension(len(vec)), custom_vec=np.array(vec))
+    want = _closed_form_polytope_threshold(rho.entries)
+    assert want > 0.0
+    assert abs(polytope_threshold(rho).p - want) <= 1e-12
 
 
 class TestWignerComputedOncePerAnswer:
@@ -389,8 +426,7 @@ class TestKDThreshold:
     def test_rejects_classification_tol_below_round_off(self, strange, monkeypatch):
         # the certificate's witness is round-off, far below the default 1e-9;
         # a tolerance below it would be an internal fault
-        tight = Tolerances(classification=1e-300)
-        monkeypatch.setattr(thresholds, "DEFAULT_TOLERANCES", tight)
+        monkeypatch.setattr(thresholds, "CLASSIFICATION_TOL", 1e-300)
         with pytest.raises(RuntimeError, match="above classification_tol 1e-300"):
             kd_threshold(strange)
 
