@@ -14,6 +14,7 @@ timestamps, sorted JSON keys).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -273,9 +274,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         frame = frame_from_dict(_read_json(cfg["frame"], "frame file"))
     report = validate_frame(frame)
     source = {"builtin": cfg["builtin"], "d": frame.dim.d}
-    result = {"passed": report.passed, "report": report.to_dict()}
+    result = {"passed": report["passed"], "report": report}
     _emit(_report(source, result), args.out)
-    return 0 if report.passed else 3
+    return 0 if report["passed"] else 3
 
 
 def _add_flags(parser: argparse.ArgumentParser, settings) -> None:
@@ -366,5 +367,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> int:
+    """The process entry, for `python -m magicnoise` and the console script:
+    main(), then gc.freeze(). Freezing moves every live object to the
+    permanent generation, which the interpreter's collections at exit skip;
+    the process ends next, so nothing needs them. In-process callers use
+    main, which leaves the collector alone."""
+    code = main()
+    gc.freeze()
+    return code

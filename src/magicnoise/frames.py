@@ -293,49 +293,18 @@ def canonical_mub_frame(dim: Dimension) -> ExactFrame:
     )
 
 
-@dataclass(frozen=True)
-class FrameValidationReport:
-    """Residuals for the four frame axioms; a frame passes when each residual
-    sits below the validation tolerance. The fifth, d^2 sample points, is
-    enforced by ExactFrame itself."""
-
-    dim: int
-    biorthogonality: float
-    normalization: float
-    synthesis_trace: float
-    reconstruction: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return all(
-            r <= self.tolerance
-            for r in (
-                self.biorthogonality,
-                self.normalization,
-                self.synthesis_trace,
-                self.reconstruction,
-            )
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.dim,
-            "biorthogonality": self.biorthogonality,
-            "normalization": self.normalization,
-            "synthesis_trace": self.synthesis_trace,
-            "reconstruction": self.reconstruction,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
-
-def validate_frame(frame: ExactFrame) -> FrameValidationReport:
-    """Evaluate the four frame axioms and report maximum residuals.
+def validate_frame(frame: ExactFrame) -> dict:
+    """Evaluate the four frame axioms and report their maximum residuals.
 
     Checks: biorthogonality, sum of analysis operators equal to the
     identity, unit synthesis traces, and operator reconstruction
-    M = sum_lam Tr(F_lam M) D_lam on a full matrix-unit basis.
+    M = sum_lam Tr(F_lam M) D_lam on a full matrix-unit basis. The fifth
+    axiom, d^2 sample points, is enforced by ExactFrame itself.
+
+    Returns a JSON-able dict: "d", the four residuals under the names
+    "biorthogonality", "normalization", "synthesis_trace" and
+    "reconstruction", "tolerance" (VALIDATION_TOL), and "passed", true when
+    every residual is at or below the tolerance.
     """
     d = frame.dim.d
     n = d * d
@@ -354,11 +323,11 @@ def validate_frame(frame: ExactFrame) -> FrameValidationReport:
     rebuilt = np.einsum("lyx,lij->xyij", fs, ds)
     recon_res = np.abs(rebuilt - np.eye(n).reshape(d, d, d, d)).max()
 
-    return FrameValidationReport(
-        dim=d,
-        biorthogonality=float(biorth),
-        normalization=float(norm_res),
-        synthesis_trace=float(trace_res),
-        reconstruction=float(recon_res),
-        tolerance=VALIDATION_TOL,
-    )
+    residuals = {
+        "biorthogonality": float(biorth),
+        "normalization": float(norm_res),
+        "synthesis_trace": float(trace_res),
+        "reconstruction": float(recon_res),
+    }
+    passed = all(r <= VALIDATION_TOL for r in residuals.values())
+    return {"d": d, **residuals, "tolerance": VALIDATION_TOL, "passed": passed}

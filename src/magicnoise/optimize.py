@@ -152,8 +152,6 @@ def minimize_omega(dim: Dimension) -> tuple[np.ndarray, float]:
         _full_noise_objective(dim.d), start, SIMPLEX_SCALE, MAX_ITERATIONS, SPREAD_TOL
     )
     report = validate_frame(decode_frame(dim, params))
-    if not report.passed:
-        raise RuntimeError(
-            f"search returned an invalid frame (residuals {report.to_dict()})"
-        )
+    if not report["passed"]:
+        raise RuntimeError(f"search returned an invalid frame (residuals {report})")
     return params, objective

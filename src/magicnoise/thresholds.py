@@ -95,10 +95,6 @@ def gross_representation_values(rho: Operator) -> np.ndarray:
     return represent_state(_gross_frame(rho.dim.d), rho).real
 
 
-def _negative_part(values: np.ndarray) -> float:
-    return float(np.abs(np.minimum(0.0, values)).sum())
-
-
 def _wigner_closed_form(rho_m: Operator) -> tuple[float, np.ndarray]:
     """(p*, w): the Wigner threshold p* of rho_m in closed form and the
     Wigner values w it comes from. All that wigner_threshold computes
@@ -133,7 +129,7 @@ def wigner_threshold(rho_m: Operator, tol: float = 1e-6) -> ThresholdResult:
     certificate = {
         "frame": {"kind": "gross"},
         "w_min": float(w.min()),
-        "witness": _negative_part(rep_at_threshold),
+        "witness": penalty(rep_at_threshold),
         "representation_re": _packed(rep_at_threshold),
         "negative_points": [
             list(divmod(int(k), dim.d))
@@ -360,10 +356,8 @@ def kd_threshold(
     values = represent_state(frame, rho_m)
     objective = penalty(values)
     report = validate_frame(frame)
-    if not report.passed:
-        raise RuntimeError(
-            f"eigenbasis frame fails validation: residuals {report.to_dict()}"
-        )
+    if not report["passed"]:
+        raise RuntimeError(f"eigenbasis frame fails validation: residuals {report}")
     if objective > CLASSIFICATION_TOL:
         raise RuntimeError(
             f"eigenbasis certificate has witness {objective:.3e}, above "

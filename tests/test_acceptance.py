@@ -73,12 +73,12 @@ def test_01_frame_axioms_across_dimensions():
                 frames.append(kd_frame(dim, a, b))
             for frame in frames:
                 report = validate_frame(frame)
-                assert report.passed, report.to_dict()
+                assert report["passed"], report
                 residuals = (
-                    report.biorthogonality,
-                    report.normalization,
-                    report.reconstruction,
-                    report.synthesis_trace,
+                    report["biorthogonality"],
+                    report["normalization"],
+                    report["reconstruction"],
+                    report["synthesis_trace"],
                 )
                 assert max(residuals) < 1e-10, (frame.descriptor, residuals)
         elapsed = time.perf_counter() - start

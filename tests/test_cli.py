@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import subprocess
@@ -653,6 +654,13 @@ def test_polytope_threshold_leaves_numpy_ma_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 False"
+
+
+def test_main_leaves_the_collector_unfrozen():
+    # only cli.run, the process entry, freezes the collector before exit
+    before = gc.get_freeze_count()
+    assert run_cli("validate", "--builtin", "gross").returncode == 0
+    assert gc.get_freeze_count() == before
 
 
 class TestHelpAndVersion:

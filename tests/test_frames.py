@@ -8,6 +8,7 @@ from scipy.linalg import expm, logm
 
 from magicnoise import (
     SUPPORTED_DIMENSIONS,
+    VALIDATION_TOL,
     DegenerateFrameError,
     Dimension,
     ExactFrame,
@@ -72,7 +73,7 @@ class TestGrossFrame:
     @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
     def test_passes_validation(self, d):
         report = validate_frame(gross_wigner_frame(Dimension(d)))
-        assert report.passed, report.to_dict()
+        assert report["passed"], report
 
     def test_descriptor_and_size(self, gross3):
         assert gross3.descriptor == {"kind": "gross"}
@@ -94,7 +95,7 @@ class TestKDFrame:
     @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
     def test_canonical_mub_passes_validation(self, d):
         report = validate_frame(canonical_mub_frame(Dimension(d)))
-        assert report.passed, report.to_dict()
+        assert report["passed"], report
 
     def test_point_operators(self, mub3, d3):
         comp = computational_basis(d3)
@@ -143,7 +144,7 @@ class TestKDFrame:
         v = random_unitary(dim, seed=seed + 1000)
         frame = frame_from_unitaries(u, v)
         report = validate_frame(frame)
-        assert report.passed, report.to_dict()
+        assert report["passed"], report
         assert frame.descriptor["kind"] == "parametrized"
 
 
@@ -176,11 +177,11 @@ class TestValidationReport:
             d3, tuple(analysis), mub3.synthesis, dict(mub3.descriptor)
         )
         report = validate_frame(broken)
-        assert not report.passed
-        assert report.reconstruction > 1e-3
+        assert not report["passed"]
+        assert report["reconstruction"] > 1e-3
 
     def test_report_dict_fields(self, gross3):
-        data = validate_frame(gross3).to_dict()
+        data = validate_frame(gross3)
         assert set(data) == {
             "d",
             "biorthogonality",
@@ -190,6 +191,9 @@ class TestValidationReport:
             "tolerance",
             "passed",
         }
+        assert data["d"] == 3
+        assert data["tolerance"] == VALIDATION_TOL
+        assert data["passed"] is True
 
 
 class TestRepresentationValues:
@@ -273,7 +277,7 @@ class TestUnitaryParametrization:
         dim = Dimension(3)
         rng = np.random.default_rng(seed)
         frame = decode_frame(dim, rng.normal(0.0, 0.5, size=18))
-        assert validate_frame(frame).passed
+        assert validate_frame(frame)["passed"]
 
     def test_decode_frame_wrong_size(self):
         with pytest.raises(ValueError):

@@ -104,7 +104,7 @@ class TestMinimizeOmega:
 
         params, objective = minimize_omega(d3)
         frame = decode_frame(d3, params)
-        assert validate_frame(frame).passed
+        assert validate_frame(frame)["passed"]
         opset = standard_operational_set(maximally_mixed(d3), 1.0)
         value = subtheory_witness(frame.analysis_stack(), frame.synthesis_stack(), opset)
         assert abs(value - objective) < 1e-9

@@ -96,7 +96,7 @@ class TestFrameRoundtrip:
         assert back.descriptor == frame.descriptor
         for a, b in zip(back.analysis, frame.analysis):
             assert np.abs(a.entries - b.entries).max() < 1e-15
-        assert validate_frame(back).passed
+        assert validate_frame(back)["passed"]
 
 
 class TestResultRoundtrip:
@@ -182,7 +182,7 @@ class TestResultRoundtrip:
 
     def test_validation_report_dict(self, gross3):
         # the validate report's dict is JSON as it stands
-        doc = json.loads(dumps(validate_frame(gross3).to_dict()))
+        doc = json.loads(dumps(validate_frame(gross3)))
         assert doc["passed"] is True
 
 
