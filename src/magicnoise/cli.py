@@ -27,8 +27,11 @@ from . import __version__
 from .frames import canonical_mub_frame, gross_wigner_frame, validate_frame
 from .qudit import MAGIC_STATE_KINDS, Dimension, magic_state, maximally_mixed
 from .representations import penalty, represent_state
-from .serialize import as_int, csv_table, dumps, frame_from_dict, result_to_dict, scan_csv
+from .serialize import SCAN_COLUMNS, as_int, csv_table, dumps, frame_from_dict
+from .serialize import result_to_dict, scan_csv
 from .thresholds import (
+    KINDS,
+    SCOPES,
     NoThresholdError,
     crit_threshold,
     kd_threshold,
@@ -36,9 +39,7 @@ from .thresholds import (
     wigner_threshold,
 )
 
-METHODS = ("wigner", "polytope", "kd", "crit")
 FORMATS = ("json", "csv")
-SCOPES = ("state", "subtheory")
 BUILTIN_FRAMES = {"gross": gross_wigner_frame, "kd-mub": canonical_mub_frame}
 # Largest noise grid `scan` evaluates: a step of 1e-4 over [0, 1].
 MAX_SCAN_POINTS = 10_001
@@ -66,7 +67,7 @@ STATE_SETTINGS = (
 )
 THRESHOLD_SETTINGS = (
     _FORMAT,
-    Setting("method", str, "wigner", "threshold definition to use", METHODS),
+    Setting("method", str, "wigner", "threshold definition to use", KINDS),
     Setting("scope", str, "state", "what the KD witness must classicalize", SCOPES),
 )
 SCAN_SETTINGS = (
@@ -83,15 +84,6 @@ VALIDATE_SETTINGS = (
 CONFIG_KEYS = {"schema"} | {
     s.name for s in STATE_SETTINGS + THRESHOLD_SETTINGS + SCAN_SETTINGS
 }
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits with code 1 on bad arguments."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _read_json(path: str, what: str):
@@ -254,8 +246,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             rows.append((p, name, penalty(values), *extremes))
 
     if cfg["format"] == "json":
-        keys = ("p", "frame", "witness", "min_real", "max_abs_imag")
-        text = _report(cfg, {"rows": [dict(zip(keys, row)) for row in rows]})
+        text = _report(cfg, {"rows": [dict(zip(SCAN_COLUMNS, row)) for row in rows]})
     else:
         text = scan_csv(rows, preamble=_config_preamble(cfg))
     _emit(text, args.out)
@@ -290,8 +281,8 @@ def _add_flags(parser: argparse.ArgumentParser, settings) -> None:
         )
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="magicnoise",
         description="Noise thresholds for qudit magic-state nonclassicality.",
     )
@@ -350,6 +341,8 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; a parse error (argparse's usage and error lines,
+    exit status 2) returns 1, as every invalid input does."""
     parser = build_parser()
     argv = _attach_values(sys.argv[1:] if argv is None else argv)
     try:

@@ -19,10 +19,8 @@ from .qudit import (
     VALIDATION_TOL,
     Dimension,
     Operator,
-    computational_basis,
-    fourier_basis,
-    fourier_gate,
     orthonormal_basis,
+    stabilizer_bases,
     weyl_operator,
 )
 
@@ -252,10 +250,9 @@ def _log_unitary(u: np.ndarray) -> np.ndarray:
     return (vecs * theta) @ vecs.conj().T
 
 
-def params_from_unitary(u: Operator | np.ndarray) -> np.ndarray:
-    """Inverse of unitary_from_params for a unitary Operator or d x d
-    matrix, up to round-off."""
-    u = u.entries if isinstance(u, Operator) else u
+def params_from_unitary(u: np.ndarray) -> np.ndarray:
+    """Inverse of unitary_from_params for a d x d unitary matrix, up to
+    round-off."""
     return params_from_hermitian(_log_unitary(u))
 
 
@@ -264,11 +261,9 @@ def eigenbasis_frame_params(rho: Operator) -> np.ndarray:
     (F the Fourier gate), in which rho has Q_ij = lambda_i |<a_i|b_j>|^2
     = lambda_i / d >= 0."""
     _, eigvecs = np.linalg.eigh(rho.entries)
+    fourier = stabilizer_bases(rho.dim)[1]
     return np.concatenate(
-        [
-            params_from_unitary(eigvecs),
-            params_from_unitary(eigvecs @ fourier_gate(rho.dim).entries),
-        ]
+        [params_from_unitary(eigvecs), params_from_unitary(eigvecs @ fourier)]
     )
 
 
@@ -285,10 +280,11 @@ def decode_frame(dim: Dimension, params: np.ndarray) -> ExactFrame:
 
 def canonical_mub_frame(dim: Dimension) -> ExactFrame:
     """KD frame over the computational and Fourier bases."""
+    comp, fourier = stabilizer_bases(dim)[:2]
     return kd_frame(
         dim,
-        computational_basis(dim),
-        fourier_basis(dim),
+        comp,
+        fourier,
         descriptor={"kind": "kd", "basis_a": "computational", "basis_b": "fourier"},
     )
 

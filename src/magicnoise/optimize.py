@@ -18,7 +18,7 @@ from .frames import (
     params_from_unitary,
     validate_frame,
 )
-from .qudit import Dimension, fourier_gate, maximally_mixed
+from .qudit import Dimension, maximally_mixed, stabilizer_bases
 from .representations import (
     OperationalSet,
     standard_operational_set,
@@ -147,7 +147,8 @@ def minimize_omega(dim: Dimension) -> tuple[np.ndarray, float]:
     nelder_mead run from the computational/Fourier frame. Returns its best
     (params, objective) after checking that params decode to a valid frame.
     """
-    start = np.concatenate([np.zeros(dim.d ** 2), params_from_unitary(fourier_gate(dim))])
+    fourier = stabilizer_bases(dim)[1]
+    start = np.concatenate([np.zeros(dim.d ** 2), params_from_unitary(fourier)])
     params, objective = nelder_mead(
         _full_noise_objective(dim.d), start, SIMPLEX_SCALE, MAX_ITERATIONS, SPREAD_TOL
     )

@@ -112,10 +112,6 @@ class Operator:
             if np.abs(gram - np.eye(self.dim.d)).max() > CONSTRUCTION_TOL:
                 raise ValueError("unitary operator fails U^dag U = 1")
 
-    @property
-    def d(self) -> int:
-        return self.dim.d
-
 
 def weyl_operator(dim: Dimension, p: int, q: int) -> Operator:
     """Weyl operator W_(p,q) = Z^p X^q with X|x> = |x+1 mod d>, Z|x> = w^x |x>.
@@ -133,11 +129,9 @@ def weyl_operator(dim: Dimension, p: int, q: int) -> Operator:
 
 
 def fourier_gate(dim: Dimension) -> Operator:
-    """Discrete Fourier transform F|x> = d^(-1/2) sum_y w^(xy) |y>."""
-    d = dim.d
-    x = np.arange(d)
-    mat = dim.omega ** np.outer(x, x) / np.sqrt(d)
-    return Operator(dim, mat, role="unitary")
+    """Discrete Fourier transform F|x> = d^(-1/2) sum_y w^(xy) |y>: the
+    Fourier basis of stabilizer_bases as a unitary."""
+    return Operator(dim, stabilizer_bases(dim)[1], role="unitary")
 
 
 def quadratic_phase_gate(dim: Dimension) -> Operator:
@@ -163,13 +157,15 @@ def clifford_generators(dim: Dimension) -> tuple[Operator, ...]:
 
 
 def computational_basis(dim: Dimension) -> np.ndarray:
-    """Identity matrix; columns are the computational basis vectors."""
-    return np.eye(dim.d, dtype=complex)
+    """A writable copy of the identity matrix, stabilizer_bases(dim)[0];
+    columns are the computational basis vectors."""
+    return stabilizer_bases(dim)[0].copy()
 
 
 def fourier_basis(dim: Dimension) -> np.ndarray:
-    """Columns are the Fourier-transformed basis vectors (X eigenbasis)."""
-    return fourier_gate(dim).entries.copy()
+    """A writable copy of stabilizer_bases(dim)[1]; columns are the
+    Fourier-transformed basis vectors (X eigenbasis)."""
+    return stabilizer_bases(dim)[1].copy()
 
 
 def orthonormal_basis(dim: Dimension, mat, name: str) -> np.ndarray:
@@ -184,27 +180,21 @@ def orthonormal_basis(dim: Dimension, mat, name: str) -> np.ndarray:
     return arr
 
 
-def _mub_basis(dim: Dimension, a: int) -> np.ndarray:
-    """Eigenbasis of X Z^a: column b has components w^(a x^2 / 2 + b x) / sqrt(d).
-
-    The phase convention puts a real positive entry in the first component.
-    """
-    d = dim.d
-    x = np.arange(d).reshape(-1, 1)
-    b = np.arange(d).reshape(1, -1)
-    expo = (dim.inv2 * a * x * x + b * x) % d
-    return dim.omega ** expo / np.sqrt(d)
-
-
 @lru_cache(maxsize=None)
 def stabilizer_bases(dim: Dimension) -> tuple[np.ndarray, ...]:
     """The d+1 mutually unbiased bases of one qudit of odd prime dimension,
     as read-only matrices whose columns are the stabilizer state vectors,
-    built once per d and shared: the computational basis followed by the
-    eigenbases of X Z^a for a = 0 .. d-1 (the a = 0 case is the Fourier
-    basis). Their unbiasedness is a fact of the construction, checked by
-    the tests, not here."""
-    bases = (computational_basis(dim),) + tuple(_mub_basis(dim, a) for a in range(dim.d))
+    built once per d and shared, and the one place the computational and
+    Fourier bases are computed: the identity, followed by the eigenbases
+    of X Z^a for a = 0 .. d-1, where column b has components
+    w^(a x^2 / 2 + b x) / sqrt(d), exponent reduced mod d (a = 0 is the
+    Fourier basis). The phase convention puts a real positive entry in the
+    first component. Their unbiasedness is a fact of the construction,
+    checked by the tests, not here."""
+    d = dim.d
+    a, x, b = np.ogrid[:d, :d, :d]
+    mubs = dim.omega ** ((dim.inv2 * a * x * x + b * x) % d) / np.sqrt(d)
+    bases = (np.eye(d, dtype=complex), *mubs)
     for basis in bases:
         basis.setflags(write=False)
     return bases

@@ -176,7 +176,10 @@ def csv_table(header: Sequence[str], rows: Iterable[tuple], preamble: Sequence[s
     return "\n".join(lines) + "\n"
 
 
+# The columns of a scan row, in the CSV header and as the JSON row keys.
+SCAN_COLUMNS = ("p", "frame", "witness", "min_real", "max_abs_imag")
+
+
 def scan_csv(rows: Iterable[tuple], preamble: Sequence[str] = ()) -> str:
-    """CSV export of witness scans: p,frame,witness,min_real,max_abs_imag."""
-    header = ("p", "frame", "witness", "min_real", "max_abs_imag")
-    return csv_table(header, rows, preamble)
+    """CSV export of witness scans, one column per SCAN_COLUMNS entry."""
+    return csv_table(SCAN_COLUMNS, rows, preamble)

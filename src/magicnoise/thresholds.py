@@ -44,6 +44,12 @@ from .representations import kd_matrix, penalty, represent_state
 from .simplex import SimplexError, solve_lp
 
 
+# The kind of each threshold above, and what kd and crit may be asked to
+# classicalize: the only copies of both lists (the CLI's choices read them).
+KINDS = ("wigner", "polytope", "kd", "crit")
+SCOPES = ("state", "subtheory")
+
+
 class NoThresholdError(RuntimeError):
     """Raised when no noise level in [0, 1] makes the state classical."""
 
@@ -78,7 +84,7 @@ class ThresholdResult:
     tol: float
 
     def __post_init__(self):
-        if self.kind not in ("wigner", "polytope", "kd", "crit"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown threshold kind {self.kind!r}")
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"threshold must lie in [0, 1], got {self.p}")
@@ -332,8 +338,8 @@ def kd_threshold(
     and NoThresholdError names both values. config changes nothing (see
     OptimizerConfig).
     """
-    if scope not in ("state", "subtheory"):
-        raise ValueError("scope must be 'state' or 'subtheory'")
+    if scope not in SCOPES:
+        raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
     _check_tol(tol)
     dim = rho_m.dim
 

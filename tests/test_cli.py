@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import subprocess
 import sys
 from typing import NamedTuple
@@ -668,6 +669,24 @@ class TestHelpAndVersion:
         proc = run_process("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == magicnoise.__version__
+
+    def test_parse_error_exits_one_from_the_process_entry(self):
+        # cli.run returns main's 1 for argparse's exit status 2; a wide
+        # terminal keeps argparse's usage on one line
+        proc = subprocess.run(
+            [sys.executable, "-m", "magicnoise", "threshold", "--method", "unknown"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "COLUMNS": "1000"},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        usage, error = proc.stderr.splitlines()
+        assert usage.startswith("usage: magicnoise threshold [-h] ")
+        assert error.startswith(
+            "magicnoise threshold: error: argument --method: invalid choice: 'unknown'"
+        )
 
     def test_help_exits_zero(self):
         assert run_process("--help").returncode == 0

@@ -93,7 +93,7 @@ class TestSearchStart:
 
         monkeypatch.setattr(optimize, "nelder_mead", record)
         minimize_omega(dim)
-        want = np.concatenate([np.zeros(d * d), params_from_unitary(fourier_gate(dim))])
+        want = np.concatenate([np.zeros(d * d), params_from_unitary(fourier_gate(dim).entries)])
         assert [x.tobytes() for x in starts] == [want.tobytes()]
 
 
@@ -193,7 +193,7 @@ class TestObjective:
         m[:, 0] = (eps, 0.6, 0.8)
         q, _ = np.linalg.qr(m)
         b = Operator(strange.dim, q, role="unitary")
-        x = np.concatenate([np.zeros(9), params_from_unitary(b)])
+        x = np.concatenate([np.zeros(9), params_from_unitary(b.entries)])
         assert (abs(q[0, 0]) <= OVERLAP_FLOOR) != finite
         value = _Objective(standard_operational_set(strange, 0.5))(x)
         assert np.isfinite(value) if finite else value == np.inf

@@ -198,6 +198,14 @@ class TestCliffordGenerators:
         assert np.abs(f @ x @ f.conj().T - z).max() < 1e-12
 
     @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+    def test_fourier_gate_is_the_fourier_stabilizer_basis(self, d):
+        dim = Dimension(d)
+        f = fourier_gate(dim).entries
+        fourier = stabilizer_bases(dim)[1]
+        assert f.dtype == fourier.dtype and f.tobytes() == fourier.tobytes()
+        assert np.abs(f.conj().T @ f - np.eye(d)).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
     def test_quadratic_phase_is_diagonal_unitary(self, d):
         dim = Dimension(d)
         s = quadratic_phase_gate(dim).entries
@@ -253,8 +261,11 @@ class TestStabilizerStates:
 
     def test_first_two_bases_are_computational_and_fourier(self, d3):
         comp, four = stabilizer_bases(d3)[:2]
-        assert np.abs(comp - computational_basis(d3)).max() < 1e-12
-        assert np.abs(four - fourier_basis(d3)).max() < 1e-12
+        assert np.array_equal(comp, np.eye(3))
+        # computational_basis and fourier_basis are writable copies of both
+        for copy, basis in ((computational_basis(d3), comp), (fourier_basis(d3), four)):
+            assert np.array_equal(copy, basis)
+            assert copy.flags.writeable and not np.shares_memory(copy, basis)
 
 
 class TestMagicStates:
