@@ -134,18 +134,6 @@ def gross_wigner_frame(dim: Dimension) -> ExactFrame:
     return ExactFrame(dim, analysis, points, {"kind": "gross"})
 
 
-def frame_from_unitaries(u: Operator, v: Operator) -> ExactFrame:
-    """KD frame whose bases are the columns of two unitaries.
-
-    The descriptor only names the kind; a serialized frame is rebuilt from
-    its operators (serialize.frame_from_dict), and a KD certificate keeps
-    the frame parameters the unitaries came from.
-    """
-    if u.dim != v.dim:
-        raise ValueError("unitaries must share a dimension")
-    return kd_frame(u.dim, u.entries, v.entries, descriptor={"kind": "parametrized"})
-
-
 @lru_cache(maxsize=None)
 def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The strict upper triangle's (rows, cols) for d x d, cached per d and
@@ -256,26 +244,15 @@ def params_from_unitary(u: np.ndarray) -> np.ndarray:
     return params_from_hermitian(_log_unitary(u))
 
 
-def eigenbasis_frame_params(rho: Operator) -> np.ndarray:
-    """Parameters of the KD frame with A the eigenbasis of rho and B = A F
-    (F the Fourier gate), in which rho has Q_ij = lambda_i |<a_i|b_j>|^2
-    = lambda_i / d >= 0."""
-    _, eigvecs = np.linalg.eigh(rho.entries)
-    fourier = stabilizer_bases(rho.dim)[1]
-    return np.concatenate(
-        [params_from_unitary(eigvecs), params_from_unitary(eigvecs @ fourier)]
-    )
-
-
 def decode_frame(dim: Dimension, params: np.ndarray) -> ExactFrame:
     """Split a 2 d^2 vector into two unitaries and build their KD frame."""
     params = np.asarray(params, dtype=float).reshape(-1)
     d2 = dim.d ** 2
     if params.size != 2 * d2:
         raise ValueError(f"expected {2 * d2} parameters, got {params.size}")
-    return frame_from_unitaries(
-        unitary_from_params(dim, params[:d2]), unitary_from_params(dim, params[d2:])
-    )
+    u = unitary_from_params(dim, params[:d2]).entries
+    v = unitary_from_params(dim, params[d2:]).entries
+    return kd_frame(dim, u, v, descriptor={"kind": "parametrized"})
 
 
 def canonical_mub_frame(dim: Dimension) -> ExactFrame:

@@ -23,11 +23,11 @@ import numpy as np
 
 from .frames import (
     ExactFrame,
-    decode_frame,
-    eigenbasis_frame_params,
     gross_wigner_frame,
     hermitian_from_params,
+    kd_frame,
     params_from_hermitian,
+    params_from_unitary,
     validate_frame,
 )
 from .optimize import OptimizerConfig, minimize_omega
@@ -127,6 +127,7 @@ def wigner_threshold(rho_m: Operator, tol: float = 1e-6) -> ThresholdResult:
     recorded in the result for callers that pass a resolution; the closed
     form does not use it.
     """
+    _check_state(rho_m)
     _check_tol(tol)
     dim = rho_m.dim
     d2 = dim.d ** 2
@@ -255,6 +256,11 @@ def stabilizer_polytope_membership(rho: Operator) -> Optional[PolytopeCertificat
     return cert if p == 0.0 else None
 
 
+def _check_state(rho: Operator) -> None:
+    if rho.role != "state":
+        raise ValueError(f"thresholds take a state operator, got role {rho.role!r}")
+
+
 def _check_tol(tol: float) -> None:
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -274,6 +280,7 @@ def polytope_threshold(rho_m: Operator, tol: float = 1e-6) -> ThresholdResult:
     q < p*, the state still needs (p* - q) / (1 - q) more to enter the
     polytope.
     """
+    _check_state(rho_m)
     _check_tol(tol)
     p_star, cert = _polytope_lp(rho_m)
     p_wigner = _wigner_closed_form(rho_m)[0]
@@ -326,11 +333,12 @@ def kd_threshold(
     scope "state" needs no noise at all: with A the eigenbasis of rho and
     B = A F (F the Fourier gate), Q_ij = lambda_i |<a_i|b_j>|^2 =
     lambda_i / d >= 0, so the threshold is exactly 0, certified by that
-    frame (validated, and its witness rechecked against
-    CLASSIFICATION_TOL, which round-off never reaches).
-    The certificate stores the frame's parameters so the claim can be
-    re-verified by decoding and re-evaluating, and records the Wigner
-    threshold p_wigner alongside.
+    frame, built from one eigh of rho (validated, and its witness
+    rechecked against CLASSIFICATION_TOL, which round-off never reaches).
+    The certificate's frame_params encode A and B (params_from_unitary);
+    decode_frame rebuilds the certified frame from them to round-off, so
+    the claim can be re-verified by re-evaluating. The certificate records
+    the Wigner threshold p_wigner alongside.
 
     scope "subtheory" has no threshold: every frame keeps the witness at
     or above subtheory_floor(d) at every p. One frame search at p = 1,
@@ -340,6 +348,7 @@ def kd_threshold(
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
+    _check_state(rho_m)
     _check_tol(tol)
     dim = rho_m.dim
 
@@ -357,8 +366,9 @@ def kd_threshold(
             f"{floor:.4f} (best found at p = 1: {best:.4f})"
         )
 
-    params = eigenbasis_frame_params(rho_m)
-    frame = decode_frame(dim, params)
+    _, basis_a = np.linalg.eigh(rho_m.entries)
+    basis_b = basis_a @ stabilizer_bases(dim)[1]
+    frame = kd_frame(dim, basis_a, basis_b, descriptor={"kind": "parametrized"})
     values = represent_state(frame, rho_m)
     objective = penalty(values)
     report = validate_frame(frame)
@@ -371,7 +381,9 @@ def kd_threshold(
         )
     certificate = {
         "frame": {"kind": "parametrized"},
-        "frame_params": _packed(params),
+        "frame_params": _packed(
+            np.concatenate([params_from_unitary(basis_a), params_from_unitary(basis_b)])
+        ),
         "objective": objective,
         "representation": {
             "re": _packed(values.real),

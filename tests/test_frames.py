@@ -18,7 +18,6 @@ from magicnoise import (
     decode_frame,
     fourier_basis,
     fourier_gate,
-    frame_from_unitaries,
     gross_wigner_frame,
     kd_frame,
     kd_matrix,
@@ -149,10 +148,8 @@ class TestKDFrame:
         dim = Dimension(d)
         u = random_unitary(dim, seed=seed)
         v = random_unitary(dim, seed=seed + 1000)
-        frame = frame_from_unitaries(u, v)
-        report = validate_frame(frame)
+        report = validate_frame(kd_frame(dim, u.entries, v.entries))
         assert report["passed"], report
-        assert frame.descriptor["kind"] == "parametrized"
 
 
 class TestStacks:
@@ -285,6 +282,7 @@ class TestUnitaryParametrization:
         rng = np.random.default_rng(seed)
         frame = decode_frame(dim, rng.normal(0.0, 0.5, size=18))
         assert validate_frame(frame)["passed"]
+        assert frame.descriptor == {"kind": "parametrized"}
 
     def test_decode_frame_wrong_size(self):
         with pytest.raises(ValueError):

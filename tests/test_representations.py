@@ -11,7 +11,6 @@ from magicnoise import (
     canonical_mub_frame,
     clifford_generators,
     computational_basis,
-    decode_frame,
     depolarize,
     depolarizing_channel,
     fourier_basis,
@@ -32,7 +31,6 @@ from magicnoise import (
     standard_operational_set,
     unitary_channel,
 )
-from magicnoise.frames import eigenbasis_frame_params
 from magicnoise.representations import subtheory_witness
 
 seeds = st.integers(0, 10_000)
@@ -52,11 +50,12 @@ class TestRepresentStateAndEffect:
         dim = Dimension(d)
         rho = random_state(dim, seed)
         a, b = random_unitary(dim, seed).entries, random_unitary(dim, seed + 1).entries
+        eigvecs = np.linalg.eigh(rho.entries)[1]
         frames = (
             gross_wigner_frame(dim),
             canonical_mub_frame(dim),
             kd_frame(dim, a, b),
-            decode_frame(dim, eigenbasis_frame_params(rho)),
+            kd_frame(dim, eigvecs, eigvecs @ fourier_basis(dim)),
         )
         for frame in frames:
             assert abs(represent_state(frame, rho).sum() - 1.0) < 1e-12

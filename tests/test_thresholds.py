@@ -30,11 +30,13 @@ from magicnoise import (
     maximally_mixed,
     mub_frame_stabilizer_check,
     penalty,
+    phase_point_operators,
     polytope_threshold,
     random_state,
     random_unitary,
     represent_effect,
     represent_state,
+    stabilizer_bases,
     stabilizer_polytope_membership,
     stabilizer_states,
     subtheory_floor,
@@ -69,6 +71,19 @@ class TestThresholdResultType:
     def test_fields(self):
         names = [field.name for field in dataclasses.fields(ThresholdResult)]
         assert names == ["kind", "p", "certificate", "tol"]
+
+
+def _phase_point_choices(dim: Dimension) -> np.ndarray:
+    """k[u, b]: the one index j with Tr(A_u Pi_(b,j)) = 1 for phase point u
+    and stabilizer basis b, every other j giving 0 (all to 1e-12)."""
+    points = np.stack([a.entries for a in phase_point_operators(dim)])
+    bases = np.stack(stabilizer_bases(dim))
+    # Tr(A_u Pi_(b,j)) = <e_bj| A_u |e_bj>, with e_bj column j of basis b
+    overlaps = np.einsum("bxj,uxy,byj->ubj", bases.conj(), points, bases)
+    k = np.abs(overlaps - 1.0).argmin(axis=-1)
+    want = np.eye(dim.d)[k]
+    assert np.abs(overlaps - want).max() <= 1e-12
+    return k
 
 
 class TestWignerThreshold:
@@ -123,6 +138,28 @@ class TestWignerThreshold:
         assert vals.shape == (9,)
         assert abs(vals.min() + 1.0 / 3.0) < 1e-12
         assert abs(vals.sum() - 1.0) < 1e-12
+
+    # The one-table identity: every phase point is
+    # A_u = sum_b Pi_(b,k_b(u)) - 1, so Gross's Wigner values read off the
+    # (d + 1) x d table v_(b,j) = Tr(Pi_(b,j) rho) as
+    # W(u) = (sum_b v_(b,k_b(u)) - 1) / d.
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_each_phase_point_picks_one_state_per_basis(self, d):
+        k = _phase_point_choices(Dimension(d))
+        assert k.shape == (d * d, d + 1)
+        # distinct phase points pick distinct choice functions
+        assert len({tuple(row) for row in k}) == d * d
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_wigner_values_from_the_table(self, d):
+        dim = Dimension(d)
+        k = _phase_point_choices(dim)
+        bases = np.stack(stabilizer_bases(dim))
+        for seed in range(20):
+            rho = random_state(dim, seed)
+            v = np.einsum("bxj,xy,byj->bj", bases.conj(), rho.entries, bases).real
+            table = (v[np.arange(d + 1), k].sum(axis=1) - 1.0) / d
+            assert np.abs(gross_representation_values(rho) - table).max() <= 1e-12
 
 
 class TestPolytopeMembership:
@@ -395,12 +432,25 @@ class TestKDThreshold:
         assert res.certificate["classification_tol"] == 1e-9
         assert not DELETED_KD_KEYS & set(res.certificate)
 
-    def test_certificate_reverifies(self, strange):
-        res = kd_threshold(strange, tol=1e-3)
-        frame = decode_frame(strange.dim, np.array(res.certificate["frame_params"]))
-        value = penalty(represent_state(frame, depolarize(strange, res.p)))
-        assert abs(value - res.certificate["objective"]) < 1e-9
-        assert not DELETED_KD_KEYS & set(res.certificate)
+    @pytest.mark.parametrize(
+        "d, seed", [(3, None)] + [(d, seed) for d in (3, 5, 7) for seed in range(3)]
+    )
+    def test_certificate_reverifies(self, strange, d, seed):
+        """frame_params decode to the certified frame: the representation
+        they give matches the certificate's to round-off (strange, then
+        random states)."""
+        rho = strange if seed is None else random_state(Dimension(d), seed)
+        res = kd_threshold(rho, tol=1e-3)
+        cert = res.certificate
+        frame = decode_frame(rho.dim, np.array(cert["frame_params"]))
+        values = represent_state(frame, depolarize(rho, res.p))
+        rep = np.array(cert["representation"]["re"]) + 1j * np.array(
+            cert["representation"]["im"]
+        )
+        assert np.abs(values - rep).max() <= 1e-12
+        assert cert["objective"] <= 1e-14
+        assert abs(penalty(values) - cert["objective"]) < 1e-12
+        assert not DELETED_KD_KEYS & set(cert)
 
     def test_mixed_state_certificate_is_canonical_frame(self, d3):
         res = kd_threshold(maximally_mixed(d3), tol=1e-3)
@@ -450,6 +500,21 @@ class TestKDThreshold:
 def test_rejects_non_finite_tol(strange, threshold):
     with pytest.raises(ValueError, match="tolerance must be finite, got inf"):
         threshold(strange, tol=float("inf"))
+
+
+@pytest.mark.parametrize(
+    "threshold", [wigner_threshold, polytope_threshold, kd_threshold, crit_threshold]
+)
+@pytest.mark.parametrize("operator", ["generic", "unitary"])
+def test_rejects_a_non_state(d3, threshold, operator):
+    """A trace-1 matrix that is not positive semidefinite, and a unitary,
+    are refused before any threshold is computed."""
+    if operator == "generic":
+        op = Operator(d3, np.diag([1.5, -0.25, -0.25]), role="generic")
+    else:
+        op = fourier_gate(d3)
+    with pytest.raises(ValueError, match="take a state operator, got role"):
+        threshold(op)
 
 
 def _expm_unitary(d: int, params: np.ndarray) -> np.ndarray:
